@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,8 +38,7 @@ func TestRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range ts {
-			// float32 narrowing tolerance.
-			if !tensor.Equal(ts[i], back[i], 1e-6*(1+ts[i].MaxAbs())) {
+			if !sameBits(ts[i], back[i]) {
 				return false
 			}
 		}
@@ -133,29 +133,50 @@ func TestDecodeRejectsHugeShapes(t *testing.T) {
 	}
 }
 
-func TestRoundTripLossSmall(t *testing.T) {
-	ts := randomTensors(5)
-	if loss := RoundTripLoss(ts); loss > 1e-6 {
-		t.Errorf("float32 narrowing loss %.3g too large for unit-scale weights", loss)
-	}
-}
-
+// TestWeightListSurvivesWire pins the lossless wire: element bits move
+// unchanged, including signed zero, subnormals, infinities and NaN
+// payloads, so shipping weights never perturbs training.
 func TestWeightListSurvivesWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ws := []*tensor.Tensor{tensor.New(8, 6), tensor.New(6), tensor.New(6, 4)}
 	for _, w := range ws {
 		w.RandNormal(rng, 1)
 	}
+	special := ws[1].Data
+	special[0] = tensor.Float(math.Copysign(0, -1))
+	special[1] = math.Float32frombits(1) // smallest subnormal
+	special[2] = math.MaxFloat32
+	special[3] = tensor.Float(math.Inf(-1))
+	special[4] = math.Float32frombits(0x7fc00123) // NaN with a payload
 	blob := Encode(ws)
 	back, err := Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ws {
-		if !tensor.Equal(ws[i], back[i], 1e-6) {
-			t.Errorf("tensor %d changed materially after wire round trip", i)
+		if !sameBits(ws[i], back[i]) {
+			t.Errorf("tensor %d changed after wire round trip", i)
 		}
 	}
+}
+
+// sameBits reports whether two tensors have the same shape and
+// bit-identical elements.
+func sameBits(a, b *tensor.Tensor) bool {
+	if len(a.Shape) != len(b.Shape) || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i := range a.Shape {
+		if a.Shape[i] != b.Shape[i] {
+			return false
+		}
+	}
+	for i := range a.Data {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // crc32ChecksumIEEE is a test-local alias to avoid importing hash/crc32 in

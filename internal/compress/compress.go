@@ -1,15 +1,14 @@
 // Package compress implements lossy update compression for the FL uplink:
-// linear 8-bit quantization with per-tensor scale, and top-k
-// sparsification. Real deployments use these to cut the network volume
-// that Table 2 accounts for; the package lets the harness study the
-// cost/accuracy trade-off of compressed uploads.
+// linear 8-bit quantization with per-tensor scale. Real deployments use
+// it to cut the network volume that Table 2 accounts for; the package
+// lets the harness study the cost/accuracy trade-off of compressed
+// uploads.
 package compress
 
 import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"sort"
 
 	"fedtrans/internal/tensor"
 )
@@ -132,133 +131,6 @@ func DequantizeAll(qs []QuantizedTensor) []*tensor.Tensor {
 		out[i] = qs[i].Dequantize()
 	}
 	return out
-}
-
-// SparseDelta is a top-k sparsified weight delta: only the k
-// largest-magnitude entries are kept.
-type SparseDelta struct {
-	Shape   []int
-	Indices []uint32
-	Values  []float64
-}
-
-// ErrBadSparse reports an inconsistent sparse delta.
-var ErrBadSparse = errors.New("compress: indices/values length mismatch")
-
-// topkEntry is one candidate in the TopK selection heap.
-type topkEntry struct {
-	i   int
-	v   float64
-	abs float64
-}
-
-// weaker reports whether a ranks strictly below b in the TopK order:
-// larger |v| wins, ties broken by ascending index (the smaller index is
-// the stronger entry). The total order makes selection deterministic
-// across runs, preserving the repository's byte-identical-results
-// guarantee for tied magnitudes.
-func weaker(a, b topkEntry) bool {
-	if a.abs != b.abs {
-		return a.abs < b.abs
-	}
-	return a.i > b.i
-}
-
-// TopK sparsifies delta = new − old, keeping the k largest |entries|
-// (ties broken by ascending index). Selection is a bounded min-heap
-// pass — O(n log k) instead of a full O(n log n) sort — followed by a
-// sort of just the k survivors, so the common small-k case touches the
-// delta once.
-func TopK(oldW, newW *tensor.Tensor, k int) SparseDelta {
-	n := oldW.Len()
-	if k > n {
-		k = n
-	}
-	sd := SparseDelta{Shape: append([]int(nil), oldW.Shape...)}
-	if k <= 0 {
-		return sd
-	}
-	// heap[0] is the weakest kept entry; a candidate displaces it only
-	// if the candidate ranks strictly higher.
-	heap := make([]topkEntry, 0, k)
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && weaker(heap[l], heap[small]) {
-				small = l
-			}
-			if r < len(heap) && weaker(heap[r], heap[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-	}
-	for i := 0; i < n; i++ {
-		v := float64(newW.Data[i]) - float64(oldW.Data[i])
-		e := topkEntry{i: i, v: v, abs: math.Abs(v)}
-		if len(heap) < k {
-			heap = append(heap, e)
-			for c := len(heap) - 1; c > 0; {
-				p := (c - 1) / 2
-				if !weaker(heap[c], heap[p]) {
-					break
-				}
-				heap[c], heap[p] = heap[p], heap[c]
-				c = p
-			}
-			continue
-		}
-		if weaker(e, heap[0]) {
-			continue
-		}
-		heap[0] = e
-		siftDown(0)
-	}
-	sort.Slice(heap, func(a, b int) bool { return weaker(heap[b], heap[a]) })
-	for _, e := range heap {
-		if e.v == 0 {
-			break
-		}
-		sd.Indices = append(sd.Indices, uint32(e.i))
-		sd.Values = append(sd.Values, e.v)
-	}
-	return sd
-}
-
-// Apply adds the sparse delta onto w in place, detaching w first if its
-// buffer is COW-shared.
-func (s SparseDelta) Apply(w *tensor.Tensor) error {
-	if len(s.Indices) != len(s.Values) {
-		return ErrBadSparse
-	}
-	w.EnsureOwned()
-	for i, idx := range s.Indices {
-		if int(idx) >= w.Len() {
-			return errors.New("compress: sparse index out of range")
-		}
-		w.Data[idx] += tensor.Float(s.Values[i])
-	}
-	return nil
-}
-
-// Bytes returns the wire size of the sparse delta (4-byte index + 4-byte
-// float32 value per entry, plus framing).
-func (s SparseDelta) Bytes() int {
-	return 8*len(s.Indices) + 4*len(s.Shape) + 8
-}
-
-// CompressionRatio returns dense-bytes / sparse-bytes for a delta of the
-// given element count at the given k.
-func CompressionRatio(elems, k int) float64 {
-	if k <= 0 {
-		return math.Inf(1)
-	}
-	return float64(4*elems) / float64(8*k)
 }
 
 // Marshal serializes a quantized tensor (used by tests and tooling to

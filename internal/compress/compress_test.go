@@ -3,7 +3,6 @@ package compress
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -170,137 +169,6 @@ func TestQuantizedTrainingStillConverges(t *testing.T) {
 	}
 	if last >= first*0.8 {
 		t.Errorf("quantized training stalled: %.4f -> %.4f", first, last)
-	}
-}
-
-func TestTopKKeepsLargest(t *testing.T) {
-	oldW := tensor.FromSlice([]tensor.Float{0, 0, 0, 0}, 4)
-	newW := tensor.FromSlice([]tensor.Float{0.1, -5, 0.2, 3}, 4)
-	sd := TopK(oldW, newW, 2)
-	if len(sd.Values) != 2 {
-		t.Fatalf("kept %d, want 2", len(sd.Values))
-	}
-	kept := map[uint32]float64{}
-	for i, idx := range sd.Indices {
-		kept[idx] = sd.Values[i]
-	}
-	if kept[1] != -5 || kept[3] != 3 {
-		t.Errorf("TopK kept %v", kept)
-	}
-}
-
-func TestTopKApplyReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	oldW := tensor.New(20)
-	oldW.RandNormal(rng, 1)
-	newW := oldW.Clone()
-	newW.Data[3] += 10
-	newW.Data[7] -= 8
-	sd := TopK(oldW, newW, 2)
-	w := oldW.Clone()
-	if err := sd.Apply(w); err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equal(w, newW, 1e-7) {
-		t.Error("top-2 delta with 2 changed entries must reconstruct exactly")
-	}
-}
-
-func TestTopKZeroDeltaEmpty(t *testing.T) {
-	w := randTensor(6, 10)
-	sd := TopK(w, w.Clone(), 5)
-	if len(sd.Values) != 0 {
-		t.Errorf("zero delta kept %d values", len(sd.Values))
-	}
-}
-
-func TestSparseDeltaValidation(t *testing.T) {
-	sd := SparseDelta{Indices: []uint32{0, 1}, Values: []float64{1}}
-	if err := sd.Apply(tensor.New(4)); err != ErrBadSparse {
-		t.Errorf("err = %v, want ErrBadSparse", err)
-	}
-	sd2 := SparseDelta{Indices: []uint32{99}, Values: []float64{1}}
-	if err := sd2.Apply(tensor.New(4)); err == nil {
-		t.Error("out-of-range index must fail")
-	}
-}
-
-func TestCompressionRatio(t *testing.T) {
-	if r := CompressionRatio(1000, 50); r != 10 {
-		t.Errorf("ratio = %v, want 10", r)
-	}
-	if !math.IsInf(CompressionRatio(10, 0), 1) {
-		t.Error("k=0 ratio should be +Inf")
-	}
-}
-
-// TestTopKTieBreakDeterministic is the regression test for the unstable
-// tie ranking: tied magnitudes must select the lowest indices, in order,
-// on every run (the repository's byte-identical-results guarantee).
-func TestTopKTieBreakDeterministic(t *testing.T) {
-	oldW := tensor.New(8)
-	newW := tensor.FromSlice([]tensor.Float{1, -1, 1, -1, 1, -1, 1, -1}, 8)
-	for trial := 0; trial < 10; trial++ {
-		sd := TopK(oldW, newW, 3)
-		if len(sd.Indices) != 3 {
-			t.Fatalf("kept %d, want 3", len(sd.Indices))
-		}
-		for i, want := range []uint32{0, 1, 2} {
-			if sd.Indices[i] != want {
-				t.Fatalf("trial %d: tied selection picked %v, want [0 1 2]", trial, sd.Indices)
-			}
-		}
-	}
-}
-
-// TestTopKMatchesFullSortReference cross-checks the heap-based partial
-// selection against a stable full sort over data with many duplicated
-// magnitudes.
-func TestTopKMatchesFullSortReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 257
-	oldW := tensor.New(n)
-	newW := tensor.New(n)
-	for i := range newW.Data {
-		// Small discrete value set guarantees plenty of ties.
-		newW.Data[i] = tensor.Float(rng.Intn(7)-3) * 0.5
-	}
-	for _, k := range []int{1, 5, 64, 257, 400} {
-		sd := TopK(oldW, newW, k)
-		type iv struct {
-			i int
-			v float64
-		}
-		all := make([]iv, n)
-		for i := range all {
-			all[i] = iv{i, float64(newW.Data[i]) - float64(oldW.Data[i])}
-		}
-		sort.SliceStable(all, func(a, b int) bool {
-			av, bv := math.Abs(all[a].v), math.Abs(all[b].v)
-			if av != bv {
-				return av > bv
-			}
-			return all[a].i < all[b].i
-		})
-		kk := k
-		if kk > n {
-			kk = n
-		}
-		var wantIdx []uint32
-		for _, e := range all[:kk] {
-			if e.v == 0 {
-				break
-			}
-			wantIdx = append(wantIdx, uint32(e.i))
-		}
-		if len(sd.Indices) != len(wantIdx) {
-			t.Fatalf("k=%d: kept %d, reference kept %d", k, len(sd.Indices), len(wantIdx))
-		}
-		for i := range wantIdx {
-			if sd.Indices[i] != wantIdx[i] {
-				t.Fatalf("k=%d: index %d is %d, reference %d", k, i, sd.Indices[i], wantIdx[i])
-			}
-		}
 	}
 }
 

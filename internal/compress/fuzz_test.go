@@ -3,7 +3,6 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"testing"
 
 	"fedtrans/internal/tensor"
@@ -39,112 +38,6 @@ func FuzzUnmarshalQuantized(f *testing.F) {
 		d := q.Dequantize()
 		if d.Len() != len(q.Codes) {
 			t.Fatalf("dequantized %d elems from %d codes", d.Len(), len(q.Codes))
-		}
-	})
-}
-
-// finiteFloats turns fuzz bytes into a deterministic finite float slice
-// (NaN/Inf would make magnitude ordering assertions vacuous).
-func finiteFloats(data []byte, n int) []tensor.Float {
-	out := make([]tensor.Float, n)
-	for i := range out {
-		var bits uint32
-		for b := 0; b < 4; b++ {
-			idx := i*4 + b
-			if idx < len(data) {
-				bits = bits<<8 | uint32(data[idx])
-			}
-		}
-		v := math.Float32frombits(bits)
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			v = tensor.Float(bits%1000) / 17
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// FuzzTopKRoundTrip checks the top-k sparsifier's invariants on
-// arbitrary weight pairs: entry count bounded by k, unique in-range
-// indices, exact delta values ordered by the deterministic
-// magnitude-then-index rank, and Apply reconstructing the selected
-// coordinates.
-func FuzzTopKRoundTrip(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1}, 3)
-	f.Add(make([]byte, 64), make([]byte, 64), 5)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}, []byte{0, 0, 0, 0}, 1)
-
-	f.Fuzz(func(t *testing.T, oldB, newB []byte, k int) {
-		n := len(oldB) / 4
-		if n == 0 || n > 1<<12 {
-			return
-		}
-		if k < 0 || k > 2*n {
-			k = n / 2
-		}
-		oldW := tensor.FromSlice(finiteFloats(oldB, n), n)
-		newW := tensor.FromSlice(finiteFloats(newB, n), n)
-
-		sd := TopK(oldW, newW, k)
-		if len(sd.Indices) != len(sd.Values) {
-			t.Fatal("indices/values length mismatch")
-		}
-		want := k
-		if want > n {
-			want = n
-		}
-		if len(sd.Indices) > want {
-			t.Fatalf("kept %d entries, cap %d", len(sd.Indices), want)
-		}
-		seen := make(map[uint32]bool, len(sd.Indices))
-		prevAbs := math.Inf(1)
-		prevIdx := -1
-		for i, idx := range sd.Indices {
-			if int(idx) >= n {
-				t.Fatalf("index %d out of range %d", idx, n)
-			}
-			if seen[idx] {
-				t.Fatalf("duplicate index %d", idx)
-			}
-			seen[idx] = true
-			v := sd.Values[i]
-			if v == 0 {
-				t.Fatal("zero-delta entry kept")
-			}
-			exact := float64(newW.Data[idx]) - float64(oldW.Data[idx])
-			if v != exact {
-				t.Fatalf("value %g != delta %g at %d", v, exact, idx)
-			}
-			abs := math.Abs(v)
-			if abs > prevAbs || (abs == prevAbs && int(idx) < prevIdx) {
-				t.Fatal("entries not in deterministic magnitude-then-index order")
-			}
-			prevAbs, prevIdx = abs, int(idx)
-		}
-
-		// Determinism: a second selection must be identical.
-		sd2 := TopK(oldW, newW, k)
-		if len(sd2.Indices) != len(sd.Indices) {
-			t.Fatal("selection not deterministic")
-		}
-		for i := range sd.Indices {
-			if sd.Indices[i] != sd2.Indices[i] || sd.Values[i] != sd2.Values[i] {
-				t.Fatal("selection not deterministic")
-			}
-		}
-
-		// Apply reconstructs the selected coordinates (float32 rounding of
-		// old + exact float64 delta).
-		w := oldW.Clone()
-		if err := sd.Apply(w); err != nil {
-			t.Fatal(err)
-		}
-		for i, idx := range sd.Indices {
-			want := oldW.Data[idx] + tensor.Float(sd.Values[i])
-			if w.Data[idx] != want {
-				t.Fatalf("apply mismatch at %d", idx)
-			}
-			_ = i
 		}
 	})
 }

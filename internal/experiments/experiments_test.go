@@ -96,6 +96,33 @@ func TestTable2SingleProfile(t *testing.T) {
 	}
 }
 
+// TestTable2DeltaSign pins the ΔAccu column: FedTrans's lead over each
+// method, with ↑ when FedTrans leads and ↓ when it trails.
+func TestTable2DeltaSign(t *testing.T) {
+	res := Table2Result{Rows: []Table2Row{
+		{Dataset: "d", Method: "FedTrans", Accuracy: 50, CostMACs: 1},
+		{Dataset: "d", Method: "Ahead", Accuracy: 71.35, CostMACs: 1},
+		{Dataset: "d", Method: "Behind", Accuracy: 37.5, CostMACs: 1},
+	}}
+	rows := map[string]string{}
+	for _, line := range strings.Split(res.String(), "\n") {
+		for _, m := range []string{"Ahead", "Behind"} {
+			if strings.Contains(line, m) {
+				rows[m] = line
+			}
+		}
+	}
+	if !strings.Contains(rows["Ahead"], "↓21.35") {
+		t.Errorf("FedTrans trails by 21.35 points, row reads %q", rows["Ahead"])
+	}
+	if !strings.Contains(rows["Behind"], "↑12.50") {
+		t.Errorf("FedTrans leads by 12.50 points, row reads %q", rows["Behind"])
+	}
+	if out := res.String(); strings.Contains(out, "↑-") || strings.Contains(out, "↓-") {
+		t.Errorf("signed magnitude after the arrow:\n%s", out)
+	}
+}
+
 func TestSweepShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parameter sweep")

@@ -112,7 +112,7 @@ func (t Table2Result) String() string {
 		base := ref[r.Dataset]
 		delta, ratio := "-", "-"
 		if r.Method != "FedTrans" {
-			delta = fmt.Sprintf("↑%.2f", base.Accuracy-r.Accuracy)
+			delta = fmtDelta(base.Accuracy - r.Accuracy)
 			if base.CostMACs > 0 {
 				ratio = fmtRatio(r.CostMACs / base.CostMACs)
 			}
@@ -123,6 +123,15 @@ func (t Table2Result) String() string {
 			metrics.F(r.StorageMB, 3), metrics.F(r.NetworkMB, 2))
 	}
 	return tab.String()
+}
+
+// fmtDelta renders FedTrans's accuracy lead over a method in points:
+// ↑ when FedTrans leads, ↓ when it trails, then the magnitude.
+func fmtDelta(d float64) string {
+	if d < 0 {
+		return fmt.Sprintf("↓%.2f", -d)
+	}
+	return fmt.Sprintf("↑%.2f", d)
 }
 
 // Figure6String renders the per-client accuracy box statistics (Figure 6).

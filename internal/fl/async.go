@@ -4,28 +4,25 @@ import (
 	"math"
 	"sort"
 
-	"fedtrans/internal/assign"
-	"fedtrans/internal/chaos"
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
-	"fedtrans/internal/selection"
 )
 
 // This file is the FedBuff-style staleness-bounded asynchronous round
-// loop (Config.MaxStaleness ≥ 1). It replaces the former internal/async
-// toy simulator by running the same semantics — constant client
-// concurrency, per-update staleness discount, simulated device-trace
-// wall clock — through the shared streaming pipeline: par.TaskStream
-// for background local training, StreamingFedAvg for accumulator folds,
-// and the synchronous path's trainTask/commitAttempt/applyCommitted for
-// everything a committed update touches.
+// loop (Config.MaxStaleness ≥ 1): constant client concurrency, a
+// per-update staleness discount and a simulated device-time wall clock,
+// run through the shared streaming pipeline — par.TaskStream for
+// background local training, the round aggregator for folds, and the
+// synchronous path's trainTask, settle and applyCommitted for everything
+// a committed update touches.
 //
 // Determinism: the commit schedule is computed before any training
-// result is read. A dispatch's arrival time is a pure function of
-// (version, client, model) — device-trace training time plus chaos
-// draws, both seeded hashes — so each round's commit set and fold order
-// ((arrival, seq), a total order) are identical for any worker
-// scheduling, including fully serial execution.
+// result is read. A dispatch's arrival time is attemptChain, a walk of
+// the same per-attempt plan that settle charges at commit (see plan in
+// attempt.go), and a pure function of (version, client, model). So each
+// round's commit set and fold order ((arrival, seq), a total order) are
+// identical for any worker scheduling, including fully serial
+// execution.
 
 // asyncTask is one dispatched client: its training slot plus the
 // scheduling state the commit policy sorts on.
@@ -54,44 +51,6 @@ func (rt *Runtime) asyncConcurrency() int {
 		c = 1
 	}
 	return c
-}
-
-// attemptOutcome mirrors commitAttempt's timing and success logic
-// without running any training: chaos draws and device-trace times are
-// pure functions of (version, client, attempt), so the coordinator can
-// schedule commits by arrival time while the actual training is still
-// in flight.
-func (rt *Runtime) attemptOutcome(version, attempt, client int, m *model.Model) (t float64, ok bool) {
-	cfg := rt.cfg
-	fault := rt.chaos.Fault(version, client, attempt)
-	if fault == chaos.Crash {
-		return 0, false
-	}
-	t = rt.trace.TrainingTime(client, m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, m.Bytes()) +
-		rt.chaos.Delay(version, client, attempt)
-	if cfg.ClientTimeout > 0 && t > cfg.ClientTimeout {
-		return cfg.ClientTimeout, false
-	}
-	// Corrupt and non-finite uploads are rejected at the accumulator
-	// after their full simulated duration elapsed — the bytes traveled.
-	return t, fault == chaos.None
-}
-
-// attemptChain simulates a dispatch's full retry chain — identical to
-// the commit-time consume loop — and returns the total simulated time
-// until the update arrives (or the coordinator gives up on the client).
-func (rt *Runtime) attemptChain(version, client int, m *model.Model) float64 {
-	cfg := rt.cfg
-	t, ok := rt.attemptOutcome(version, 0, client, m)
-	elapsed := t
-	for attempt := 1; !ok && attempt <= cfg.RetryBudget; attempt++ {
-		if cfg.RetryBackoff > 0 {
-			elapsed += cfg.RetryBackoff * float64(int(1)<<(attempt-1))
-		}
-		t, ok = rt.attemptOutcome(version, attempt, client, m)
-		elapsed += t
-	}
-	return elapsed
 }
 
 // snapGet returns a COW snapshot of m's current weights for a dispatch:
@@ -150,8 +109,16 @@ func (rt *Runtime) dispatch(round, client int, m *model.Model) {
 		seq:        rt.asyncSeq,
 		dispatchAt: rt.asyncNow,
 	}
-	at.arrival = rt.asyncNow + rt.attemptChain(round, client, m)
 	rt.asyncSeq++
+	rt.launch(at)
+}
+
+// launch schedules a dispatch's arrival from its attempt chain and
+// submits its first training attempt to the background task stream.
+// Dispatch and checkpoint resume both launch through here: arrival is a
+// pure function of (version, client, model), so it is never stored.
+func (rt *Runtime) launch(at *asyncTask) {
+	at.arrival = at.dispatchAt + rt.attemptChain(at.version, at.slot.client, at.slot.m)
 	slot := &at.slot
 	version := at.version
 	at.tk = rt.asyncStr.Go(func() { rt.trainTask(version, 0, slot) })
@@ -211,34 +178,13 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 
 	roundDropouts := 0
 	if want := rt.asyncConcurrency() - len(rt.inflight); want > 0 && len(cand) > 0 {
-		n := want
-		if n > len(cand) {
-			n = len(cand)
-		}
-		var selected []int
-		if ss, ok := cfg.Selector.(selection.SubsetSelector); ok {
-			selected = ss.SelectFrom(round, cand, n, rt.rng)
-		} else {
-			pos := cfg.Selector.Select(round, len(cand), n, rt.rng)
-			selected = make([]int, len(pos))
-			for i, p := range pos {
-				selected[i] = cand[p]
-			}
-		}
-		for _, c := range selected {
-			rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
-			m := rt.mgr.Sample(c, rt.compatBuf, rt.rng)
-			if m == nil {
-				continue
-			}
-			if cfg.DropoutRate > 0 && rt.rng.Float64() < cfg.DropoutRate {
-				// Downloaded the model, then went dark before training.
-				res.Costs.NetworkBytes += m.Bytes()
-				res.Dropouts++
+		for _, c := range rt.selectFrom(round, cand, want) {
+			switch m, dropped := rt.assignModel(c, res); {
+			case dropped:
 				roundDropouts++
-				continue
+			case m != nil:
+				rt.dispatch(round, c, m)
 			}
-			rt.dispatch(round, c, m)
 		}
 	}
 
@@ -270,9 +216,8 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 		}
 	}
 
-	// Fold the commit set in (arrival, seq) order. Retries run inline on
-	// the consumer with the dispatch version's seeds, exactly like the
-	// synchronous consume loop; the virtual clock advances to each
+	// Settle the commit set in (arrival, seq) order, exactly like the
+	// synchronous consume loop. The virtual clock advances to each
 	// committed arrival (an update that arrived while the server was
 	// busy with earlier rounds costs no extra wall clock).
 	prevNow := rt.asyncNow
@@ -285,31 +230,17 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 		rt.asyncStr.Wait(at.tk)
 		u := &at.slot
 		u.stale = round - at.version
-		elapsed := 0.0
-		ok := rt.commitAttempt(u, &elapsed, res)
-		for attempt := 1; !ok && attempt <= cfg.RetryBudget; attempt++ {
-			res.Retries++
-			if cfg.RetryBackoff > 0 {
-				elapsed += cfg.RetryBackoff * float64(int(1)<<(attempt-1))
-			}
-			rt.trainTask(at.version, attempt, u)
-			ok = rt.commitAttempt(u, &elapsed, res)
-		}
-		rt.releaseUploads(u)
+		_, ok := rt.settle(at.version, u, res)
 		rt.snapPut(u.src)
 		u.src = nil
 		if at.arrival > rt.asyncNow {
 			rt.asyncNow = at.arrival
 		}
 		if ok {
-			u.ok = true
 			folded++
-			cfg.Selector.Feedback(u.client, u.loss, elapsed)
 			rt.staleSum += int64(u.stale)
 			rt.staleCnt++
 			committed = append(committed, u)
-		} else {
-			res.Failures++
 		}
 	}
 	rt.commitBuf = committed

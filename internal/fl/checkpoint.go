@@ -1138,21 +1138,14 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 			src.ID = m.ID
 			src.Params()
 			src.ParamCount()
-			at := &asyncTask{
+			// The interrupted run's training is redone deterministically
+			// from the snapshot weights.
+			rt.launch(&asyncTask{
 				slot:       roundTask{client: f.Client, m: m, src: src},
 				version:    f.Version,
 				seq:        f.Seq,
 				dispatchAt: f.DispatchAt,
-			}
-			// Arrival is a pure function of (version, client, model), so
-			// it is recomputed rather than stored; the interrupted run's
-			// training itself is redone deterministically from the
-			// snapshot weights.
-			at.arrival = f.DispatchAt + rt.attemptChain(f.Version, f.Client, m)
-			slot := &at.slot
-			version := at.version
-			at.tk = rt.asyncStr.Go(func() { rt.trainTask(version, 0, slot) })
-			rt.inflight = append(rt.inflight, at)
+			})
 		}
 	}
 

@@ -134,16 +134,23 @@ type Config struct {
 	// rounds. 0 keeps the legacy behavior (every round commits).
 	Quorum float64
 	// RetryBudget is how many times a failed participant attempt (chaos
-	// crash, corrupt upload, timeout) is retried before the client counts
-	// as failed for the round. Retries run with attempt-salted local
-	// seeds, so they are deterministic without replaying the failure.
+	// crash, corrupt or non-finite upload, timeout, Trainer transport
+	// error) is retried before the client counts as failed for the round.
+	// Retries run with attempt-salted local seeds, so they are
+	// deterministic without replaying the failure. Every attempt is
+	// charged its planned simulated duration in both round loops: zero
+	// for a crash, device training time plus straggler delay (capped at
+	// ClientTimeout) otherwise. Neither the client's sample count nor a
+	// transport error changes that duration or the planned outcome; a
+	// transport error additionally fails the attempt.
 	RetryBudget int
 	// RetryBackoff is the simulated seconds added to a client's round
 	// time before retry attempt k (backoff × 2^(k-1)).
 	RetryBackoff float64
 	// ClientTimeout, when positive, fails any attempt whose simulated
 	// training+straggler time exceeds it; the coordinator charges itself
-	// the timeout wait instead of the client's full duration.
+	// the timeout wait instead of the client's full duration. The rule
+	// holds for every attempt, zero-sample clients included.
 	ClientTimeout float64
 	// Chaos configures deterministic fault injection (internal/chaos).
 	// The zero value disables it.
@@ -345,8 +352,8 @@ type Runtime struct {
 // roundTask is one selected, non-dropped participant's slot in the
 // streaming round pipeline: produce fills the upload buffers and the
 // scalar outcomes, consume folds the upload into the accumulator and
-// releases the buffers back to the pool. fault/delay carry the chaos
-// draw of the latest attempt; ok marks clients whose update committed.
+// releases the buffers back to the pool. ok marks clients whose update
+// committed.
 type roundTask struct {
 	client int
 	m      *model.Model
@@ -366,8 +373,6 @@ type roundTask struct {
 	q       []compress.QuantizedTensor
 	loss    float64
 	samples int
-	fault   chaos.Fault
-	delay   float64
 	// err records a Trainer transport failure (wire fault, lost agent):
 	// the attempt failed before any upload arrived.
 	err error
@@ -617,11 +622,13 @@ var errQuorumLost = errors.New("fl: round lost quorum")
 //
 // Fault tolerance: each participant attempt may fail (injected chaos
 // fault, corrupt or non-finite upload rejected at the accumulator
-// boundary, or a simulated timeout). Failed attempts are retried up to
-// RetryBudget times, synchronously on the consumer so the retry order —
-// and therefore every rng draw — is deterministic. When Quorum is set,
-// the round commits only if enough participants fold; otherwise the
-// partial aggregate is discarded and the suite is left untouched.
+// boundary, a simulated timeout, or a Trainer transport error). settle
+// charges every attempt its planned duration (see plan) and retries
+// failed attempts up to RetryBudget times, synchronously on the
+// consumer so the retry order — and therefore every rng draw — is
+// deterministic. When Quorum is set, the round commits only if enough
+// participants fold; otherwise the partial aggregate is discarded and
+// the suite is left untouched.
 func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]int, bool) {
 	cfg := rt.cfg
 	if cfg.MaxStaleness > 0 {
@@ -634,22 +641,7 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	if rt.churn != nil {
 		rt.churn.Step(rt.rng)
 		rt.activeBuf = rt.churn.ActiveInto(rt.activeBuf[:0])
-		active := rt.activeBuf
-		n := cfg.ClientsPerRound
-		if n > len(active) {
-			n = len(active)
-		}
-		if ss, ok := cfg.Selector.(selection.SubsetSelector); ok {
-			selected = ss.SelectFrom(round, active, n, rt.rng)
-		} else {
-			// Selector without subset support: select positions into the
-			// online list so candidate restriction still holds.
-			pos := cfg.Selector.Select(round, len(active), n, rt.rng)
-			selected = make([]int, len(pos))
-			for i, p := range pos {
-				selected[i] = active[p]
-			}
-		}
+		selected = rt.selectFrom(round, rt.activeBuf, cfg.ClientsPerRound)
 	} else {
 		selected = cfg.Selector.Select(round, rt.ds.Len(), cfg.ClientsPerRound, rt.rng)
 	}
@@ -661,20 +653,12 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	tasks := rt.roundTasks[:0]
 	roundDropouts := 0
 	for _, c := range selected {
-		rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
-		m := rt.mgr.Sample(c, rt.compatBuf, rt.rng)
-		if m == nil {
-			continue
-		}
-		if cfg.DropoutRate > 0 && rt.rng.Float64() < cfg.DropoutRate {
-			// The client received the model but drops out before
-			// uploading: count the download, skip training.
-			res.Costs.NetworkBytes += m.Bytes()
-			res.Dropouts++
+		switch m, dropped := rt.assignModel(c, res); {
+		case dropped:
 			roundDropouts++
-			continue
+		case m != nil:
+			tasks = append(tasks, roundTask{client: c, m: m})
 		}
-		tasks = append(tasks, roundTask{client: c, m: m})
 	}
 	rt.roundTasks = tasks // keep the grown capacity for the next round
 
@@ -705,31 +689,14 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	streamErr := par.StreamErr(len(tasks), rt.streamWindow(), func(i int) {
 		rt.trainTask(round, 0, &tasks[i])
 	}, func(i int) error {
-		u := &tasks[i]
-		elapsed := 0.0
-		ok := rt.commitAttempt(u, &elapsed, res)
-		for attempt := 1; !ok && attempt <= cfg.RetryBudget; attempt++ {
-			res.Retries++
-			if cfg.RetryBackoff > 0 {
-				elapsed += cfg.RetryBackoff * float64(int(1)<<(attempt-1))
-			}
-			// Retries run synchronously on the (single) consumer
-			// goroutine: determinism needs no extra machinery, and a
-			// retry storm degrades throughput instead of correctness.
-			rt.trainTask(round, attempt, u)
-			ok = rt.commitAttempt(u, &elapsed, res)
-		}
-		rt.releaseUploads(u)
+		elapsed, ok := rt.settle(round, &tasks[i], res)
 		if elapsed > roundTime {
 			roundTime = elapsed
 		}
 		if ok {
-			u.ok = true
 			folded++
-			cfg.Selector.Feedback(u.client, u.loss, elapsed)
 			return nil
 		}
-		res.Failures++
 		if need > 0 && folded+(len(tasks)-(i+1)) < need {
 			return errQuorumLost // survivors can no longer reach quorum
 		}
@@ -760,6 +727,42 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	rt.commitBuf = committed
 	roundLoss, perModel := rt.applyCommitted(round, committed, res)
 	return roundLoss, roundTime, perModel, true
+}
+
+// selectFrom picks up to n participants among the candidate client IDs
+// (ascending). A selector without subset support selects positions into
+// the candidate list, so the candidate restriction still holds.
+func (rt *Runtime) selectFrom(round int, cand []int, n int) []int {
+	if n > len(cand) {
+		n = len(cand)
+	}
+	if ss, ok := rt.cfg.Selector.(selection.SubsetSelector); ok {
+		return ss.SelectFrom(round, cand, n, rt.rng)
+	}
+	pos := rt.cfg.Selector.Select(round, len(cand), n, rt.rng)
+	selected := make([]int, len(pos))
+	for i, p := range pos {
+		selected[i] = cand[p]
+	}
+	return selected
+}
+
+// assignModel samples client c's model from the compatible suite and
+// draws its dropout. A dropped client downloaded the model and went dark
+// before training: the download is charged, Result.Dropouts counts it,
+// and m is nil. m is also nil when no suite model fits the device.
+func (rt *Runtime) assignModel(c int, res *Result) (m *model.Model, dropped bool) {
+	rt.compatBuf = assign.CompatibleInto(rt.compatBuf[:0], rt.suite, rt.trace.At(c).CapacityMACs)
+	m = rt.mgr.Sample(c, rt.compatBuf, rt.rng)
+	if m == nil {
+		return nil, false
+	}
+	if rt.cfg.DropoutRate > 0 && rt.rng.Float64() < rt.cfg.DropoutRate {
+		res.Costs.NetworkBytes += m.Bytes()
+		res.Dropouts++
+		return nil, true
+	}
+	return m, false
 }
 
 // releaseUploads returns a task's upload buffers — dense weight sets
@@ -851,8 +854,7 @@ func (rt *Runtime) applyCommitted(round int, committed []*roundTask, res *Result
 // run rather than a replay of the failed one.
 func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 	cfg := rt.cfg
-	u.fault = rt.chaos.Fault(round, u.client, attempt)
-	u.delay = rt.chaos.Delay(round, u.client, attempt)
+	fault := rt.chaos.Fault(round, u.client, attempt)
 	u.err = nil
 	// In asynchronous mode the task trains from its dispatch-time weight
 	// snapshot, and — because this may run concurrently with the
@@ -867,7 +869,7 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 	if u.up == nil && !quantized {
 		u.up = rt.uploads.get(src)
 	}
-	if u.fault == chaos.Crash {
+	if fault == chaos.Crash {
 		u.loss, u.samples = 0, 0
 		return
 	}
@@ -891,7 +893,7 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 		u.loss, u.samples = sess.run(src, rt.ds.Fetch(&sess.cur, u.client), cfg.Local, seed, u.up)
 		rt.sessions.put(src.ID, sess)
 	}
-	if u.fault == chaos.NonFinite && u.samples > 0 {
+	if fault == chaos.NonFinite && u.samples > 0 {
 		// The client's training diverged: poison the upload so the
 		// accumulator's finite check must catch it. (A zero-sample
 		// client produced no upload to poison.)
@@ -918,87 +920,6 @@ func (rt *Runtime) remoteQuantized() bool {
 	}
 	_, ok := rt.cfg.Trainer.(QuantizedTrainer)
 	return ok
-}
-
-// commitAttempt folds one attempt's upload into the accumulator,
-// charging its simulated costs and time, and reports whether it
-// succeeded. Failure modes: chaos crash (download spent, nothing else),
-// timeout (download spent, coordinator waits out ClientTimeout), and a
-// corrupt or non-finite upload rejected at the accumulator boundary
-// (full cost spent — the bytes did travel).
-func (rt *Runtime) commitAttempt(u *roundTask, elapsed *float64, res *Result) bool {
-	cfg := rt.cfg
-	m := u.m
-	if u.fault == chaos.Crash {
-		res.Costs.NetworkBytes += m.Bytes()
-		return false
-	}
-	if u.err != nil {
-		// The wire failed mid-attempt: the download traveled, nothing
-		// came back. The retry loop redials through a fresh attempt.
-		res.Costs.NetworkBytes += m.Bytes()
-		return false
-	}
-	if u.samples == 0 {
-		// A zero-sample client has nothing to fold. Succeed without
-		// touching the accumulator: sampleWeight clamps weight-0 updates
-		// to 1, so folding one would wrongly count as a contribution.
-		res.Costs.NetworkBytes += m.Bytes()
-		return true
-	}
-	t := rt.trace.TrainingTime(u.client, m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize, m.Bytes()) + u.delay
-	res.Costs.AddTraining(m.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)
-	if cfg.ClientTimeout > 0 && t > cfg.ClientTimeout {
-		*elapsed += cfg.ClientTimeout
-		res.Costs.NetworkBytes += m.Bytes()
-		return false
-	}
-	*elapsed += t
-	if cfg.ClipNorm > 0 || cfg.NoiseStd > 0 {
-		ClipAndNoise(u.up, m.Params(), cfg.ClipNorm, cfg.NoiseStd, rt.rng)
-	}
-	var err error
-	if cfg.QuantizeUploads {
-		var qs []compress.QuantizedTensor
-		upBytes := 0
-		if u.q != nil {
-			// On-device quantization: the codes that traveled are the
-			// codes that fold — never dequantize-requantize, which would
-			// change bits.
-			qs = u.q
-			for i := range qs {
-				upBytes += qs[i].Bytes()
-			}
-		} else {
-			qs = rt.quantScratch(m)
-			for pi, t := range u.up {
-				compress.QuantizeInto(&qs[pi], t)
-				upBytes += qs[pi].Bytes()
-			}
-		}
-		if u.fault == chaos.CorruptUpload && len(qs) > 0 {
-			qs = qs[:len(qs)-1] // truncated in flight
-		}
-		res.Costs.NetworkBytes += m.Bytes() + int64(upBytes)
-		err = rt.agg.AddQuantized(m, qs, u.samples, u.loss, u.stale)
-	} else {
-		ws := u.up
-		if u.fault == chaos.CorruptUpload && len(ws) > 0 {
-			ws = ws[:len(ws)-1] // truncated in flight
-		}
-		res.Costs.AddTransfer(m.Bytes())
-		err = rt.agg.Add(m, aggregate.Update{
-			ModelID: m.ID, Weights: ws, Samples: u.samples, Loss: u.loss,
-			Staleness: u.stale,
-		})
-	}
-	if err != nil {
-		if u.fault == chaos.None && !errors.Is(err, aggregate.ErrNonFinite) {
-			panic(err) // uploads are shaped by the model itself: a real bug
-		}
-		return false
-	}
-	return true
 }
 
 // tryTransform derives a new model from the current largest model,

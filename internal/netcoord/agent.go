@@ -9,6 +9,8 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"fedtrans/internal/chaos"
@@ -28,7 +30,9 @@ type AgentConfig struct {
 	// one training attempt at a time). Defaults to 1.
 	Workers int
 	// DialTimeout bounds each (re)connect attempt's total retry budget.
-	// Defaults to 30s.
+	// Defaults to 30s. Once any worker of the pool has reached the
+	// coordinator, a refused (re)dial ends the worker at once: the run
+	// is over.
 	DialTimeout time.Duration
 	// IOTimeout bounds each frame exchange (writes, response reads, and
 	// the body of a request whose header has arrived; idle waits between
@@ -74,13 +78,17 @@ func RunAgents(cfg AgentConfig) error {
 		}
 		return ds
 	}
+	// reached is shared by the pool: the coordinator cannot finish a run
+	// before some worker has reached it, so a worker that is refused
+	// after that, even on its first dial, joined a run that has ended.
+	var reached atomic.Bool
 	errs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = agentLoop(cfg, getDS)
+			errs[w] = agentLoop(cfg, getDS, &reached)
 		}(w)
 	}
 	wg.Wait()
@@ -96,39 +104,43 @@ func RunAgents(cfg AgentConfig) error {
 // coordinator-dropped conn) but the run may still be live: redial.
 var errReconnect = errors.New("netcoord: connection lost, reconnecting")
 
-func agentLoop(cfg AgentConfig, getDS func(RunConfig) *data.Dataset) error {
+func agentLoop(cfg AgentConfig, getDS func(RunConfig) *data.Dataset, reached *atomic.Bool) error {
 	winj := chaos.NewWire(cfg.WireChaos)
-	served := false
 	for {
-		c, err := dialRetry(cfg.Addr, cfg.DialTimeout)
+		c, err := dialRetry(cfg.Addr, cfg.DialTimeout, reached)
 		if err != nil {
-			if served {
+			if reached.Load() {
 				// The coordinator answered earlier and is now gone: the
 				// run is over.
 				return nil
 			}
 			return err
 		}
+		reached.Store(true)
 		err = serveConn(c, cfg.IOTimeout, getDS, winj)
 		switch {
 		case err == nil:
 			return nil
 		case errors.Is(err, errReconnect):
-			served = true
+			// Redial: the run may still be live.
 		default:
 			return err
 		}
 	}
 }
 
-func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
+// dialRetry dials addr, retrying within budget while the coordinator is
+// not listening yet. Once the pool has reached the coordinator, a
+// refused connection means its listener closed at the end of the run,
+// so the dial fails at once instead of retrying out the budget.
+func dialRetry(addr string, budget time.Duration, reached *atomic.Bool) (net.Conn, error) {
 	deadline := time.Now().Add(budget)
 	for {
 		c, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
 			return c, nil
 		}
-		if time.Now().After(deadline) {
+		if (reached.Load() && errors.Is(err, syscall.ECONNREFUSED)) || time.Now().After(deadline) {
 			return nil, fmt.Errorf("netcoord: dial %s: %w", addr, err)
 		}
 		time.Sleep(50 * time.Millisecond)

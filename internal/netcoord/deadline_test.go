@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,5 +211,61 @@ func TestHealthyRunUnaffectedByDeadlines(t *testing.T) {
 	}
 	if want.MeanAcc != got.MeanAcc || want.Costs != got.Costs {
 		t.Fatal("deadline-bounded networked run diverged from in-process run")
+	}
+}
+
+// TestAgentExitsWhenCoordinatorGone pins the end-of-run exit: a worker
+// whose connection drops after it reached the coordinator, and whose
+// redial is then refused, has seen the run end. It must return nil at
+// once instead of redialing a closed listener for the whole DialTimeout
+// and then reporting the refusal as a failure.
+func TestAgentExitsWhenCoordinatorGone(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		// Close the listener and the one connection before the
+		// handshake: the run ended while the worker was joining.
+		c, err := ln.Accept()
+		ln.Close()
+		if err == nil {
+			c.Close()
+		}
+	}()
+	const budget = 3 * time.Second
+	start := time.Now()
+	err = RunAgents(AgentConfig{Addr: ln.Addr().String(), DialTimeout: budget})
+	if err != nil {
+		t.Fatalf("worker of a finished run exited with %v, want nil", err)
+	}
+	if elapsed := time.Since(start); elapsed >= budget {
+		t.Fatalf("worker redialed a closed coordinator for %v", elapsed)
+	}
+}
+
+// TestLateWorkerExitsWhenPoolReachedCoordinator pins the pool-wide end
+// of run: a worker whose first dial is refused after a sibling has
+// already reached the coordinator joined a run that has ended. It must
+// return nil at once, not retry for the whole DialTimeout and then
+// report the refusal. (A short run can finish on the first worker's
+// connection before the last worker of a loaded host has dialed.)
+func TestLateWorkerExitsWhenPoolReachedCoordinator(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // the coordinator has finished and closed its listener
+	const budget = 3 * time.Second
+	var reached atomic.Bool
+	reached.Store(true) // a sibling worker served this run
+	start := time.Now()
+	err = agentLoop(AgentConfig{Addr: addr, DialTimeout: budget}, nil, &reached)
+	if err != nil {
+		t.Fatalf("late worker of a finished run exited with %v, want nil", err)
+	}
+	if elapsed := time.Since(start); elapsed >= budget {
+		t.Fatalf("late worker dialed a closed coordinator for %v", elapsed)
 	}
 }

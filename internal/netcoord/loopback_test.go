@@ -62,20 +62,46 @@ func loopRun(t *testing.T, mutate func(*fl.Config), networked bool, wire chaos.W
 	return res, wireErrs
 }
 
+// loopModes are the round loops every loopback case runs through:
+// synchronous rounds and staleness-2 asynchronous rounds, whose
+// background dispatches reach the hub concurrently and out of commit
+// order.
+var loopModes = []struct {
+	name         string
+	maxStaleness int
+}{{"sync", 0}, {"async", 2}}
+
+// inMode sets the round loop's staleness bound before applying mutate.
+func inMode(maxStaleness int, mutate func(*fl.Config)) func(*fl.Config) {
+	return func(cfg *fl.Config) {
+		cfg.MaxStaleness = maxStaleness
+		if mutate != nil {
+			mutate(cfg)
+		}
+	}
+}
+
 // TestLoopbackByteIdentical is the golden test of the networked
 // coordinator: a run whose every local-training attempt travels over
 // TCP loopback must produce exactly the in-process Result — training is
 // pure in (weights, shard, seed) and the FTW1 codec is lossless, so
 // there is nothing the wire is allowed to change.
 func TestLoopbackByteIdentical(t *testing.T) {
-	want, _ := loopRun(t, nil, false, chaos.WireConfig{})
-	got, wireErrs := loopRun(t, nil, true, chaos.WireConfig{})
-	if len(wireErrs) != 0 {
-		t.Fatalf("clean loopback recorded wire errors: %v", wireErrs)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("networked run diverged from in-process run\nin-process: MeanAcc=%v Costs=%+v\nnetworked:  MeanAcc=%v Costs=%+v",
-			want.MeanAcc, want.Costs, got.MeanAcc, got.Costs)
+	for _, mode := range loopModes {
+		t.Run(mode.name, func(t *testing.T) {
+			want, _ := loopRun(t, inMode(mode.maxStaleness, nil), false, chaos.WireConfig{})
+			got, wireErrs := loopRun(t, inMode(mode.maxStaleness, nil), true, chaos.WireConfig{})
+			if len(wireErrs) != 0 {
+				t.Fatalf("clean loopback recorded wire errors: %v", wireErrs)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("networked run diverged from in-process run\nin-process: MeanAcc=%v Costs=%+v\nnetworked:  MeanAcc=%v Costs=%+v",
+					want.MeanAcc, want.Costs, got.MeanAcc, got.Costs)
+			}
+			if mode.maxStaleness > 0 && got.MeanStaleness == 0 {
+				t.Fatal("async run folded no stale update: the case does not cover asynchronous rounds")
+			}
+		})
 	}
 }
 
@@ -104,10 +130,14 @@ func TestLoopbackTrainingChaos(t *testing.T) {
 		cfg.Chaos = chaos.Config{Seed: 7, CrashRate: 0.15, NonFiniteRate: 0.1}
 		cfg.RetryBudget = 2
 	}
-	want, _ := loopRun(t, faulty, false, chaos.WireConfig{})
-	got, _ := loopRun(t, faulty, true, chaos.WireConfig{})
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("chaos-faulted networked run diverged from in-process run")
+	for _, mode := range loopModes {
+		t.Run(mode.name, func(t *testing.T) {
+			want, _ := loopRun(t, inMode(mode.maxStaleness, faulty), false, chaos.WireConfig{})
+			got, _ := loopRun(t, inMode(mode.maxStaleness, faulty), true, chaos.WireConfig{})
+			if !reflect.DeepEqual(want, got) {
+				t.Fatal("chaos-faulted networked run diverged from in-process run")
+			}
+		})
 	}
 }
 
@@ -122,30 +152,34 @@ func TestLoopbackWireFaults(t *testing.T) {
 	wire := chaos.WireConfig{Seed: 9, TruncateRate: 0.12, CorruptRate: 0.12, DropRate: 0.12}
 	faulty := func(cfg *fl.Config) { cfg.RetryBudget = 3 }
 
-	resA, errsA := loopRun(t, faulty, true, wire)
-	if len(errsA) == 0 {
-		t.Fatal("no wire faults recorded; injector never fired")
-	}
-	typed := 0
-	for _, err := range errsA {
-		switch {
-		case errors.Is(err, ErrFrameCRC),
-			errors.Is(err, ErrTruncatedFrame),
-			errors.Is(err, ErrAgentGone):
-			typed++
-		default:
-			t.Errorf("wire fault surfaced untyped: %v", err)
-		}
-	}
-	if typed != len(errsA) {
-		t.Fatalf("%d of %d wire errors missing a typed cause", len(errsA)-typed, len(errsA))
-	}
+	for _, mode := range loopModes {
+		t.Run(mode.name, func(t *testing.T) {
+			resA, errsA := loopRun(t, inMode(mode.maxStaleness, faulty), true, wire)
+			if len(errsA) == 0 {
+				t.Fatal("no wire faults recorded; injector never fired")
+			}
+			typed := 0
+			for _, err := range errsA {
+				switch {
+				case errors.Is(err, ErrFrameCRC),
+					errors.Is(err, ErrTruncatedFrame),
+					errors.Is(err, ErrAgentGone):
+					typed++
+				default:
+					t.Errorf("wire fault surfaced untyped: %v", err)
+				}
+			}
+			if typed != len(errsA) {
+				t.Fatalf("%d of %d wire errors missing a typed cause", len(errsA)-typed, len(errsA))
+			}
 
-	resB, errsB := loopRun(t, faulty, true, wire)
-	if !reflect.DeepEqual(resA, resB) {
-		t.Fatal("identical wire-faulted runs diverged")
-	}
-	if len(errsA) != len(errsB) {
-		t.Fatalf("fault schedules diverged: %d vs %d wire errors", len(errsA), len(errsB))
+			resB, errsB := loopRun(t, inMode(mode.maxStaleness, faulty), true, wire)
+			if !reflect.DeepEqual(resA, resB) {
+				t.Fatal("identical wire-faulted runs diverged")
+			}
+			if len(errsA) != len(errsB) {
+				t.Fatalf("fault schedules diverged: %d vs %d wire errors", len(errsA), len(errsB))
+			}
+		})
 	}
 }
