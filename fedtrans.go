@@ -97,11 +97,13 @@ type Options struct {
 	// Oort-style guided selector (high statistical utility, acceptable
 	// system speed).
 	GuidedSelection bool
-	// StreamWindow bounds the number of in-flight client updates in the
-	// streaming aggregation pipeline; the coordinator's peak update
-	// memory is O(StreamWindow × model bytes) regardless of
-	// ClientsPerRound. 0 uses 2×GOMAXPROCS. Results are identical for
-	// every window size.
+	// StreamWindow bounds how many client training tasks a synchronous
+	// round keeps ahead of its fold frontier, and caps the background
+	// training workers; a synchronous round's peak update memory is
+	// O(StreamWindow × model bytes) regardless of ClientsPerRound.
+	// Asynchronous rounds (MaxStaleness ≥ 1) hold up to
+	// AsyncConcurrency trained updates instead. 0 uses 2×GOMAXPROCS,
+	// minimum 4. Results are identical for every window size.
 	StreamWindow int
 	// MaxStaleness ≥ 1 switches the coordinator to FedBuff-style
 	// staleness-bounded asynchronous rounds: clients train against the

@@ -39,13 +39,14 @@ var ErrNonFinite = errors.New("aggregate: non-finite value in update")
 // into fixed-width shards. Each Add folds one update across all shards
 // (in parallel when workers are free); within a shard the contributions
 // are applied in Add-call order. As long as the caller Adds updates in a
-// deterministic order — the runtime commits them in client submission
-// order through par.Stream — the float64 sums, and therefore the
+// deterministic order — the runtime's task-stream consumer commits them
+// in submission order (synchronous rounds) or (arrival, seq) order
+// (asynchronous rounds) — the float64 sums, and therefore the
 // finalized weights, are byte-identical regardless of worker scheduling,
 // and identical to the buffered FedAvg over the same batch.
 //
 // The aggregator is not goroutine-safe: Add/Finalize must be called from
-// one goroutine (the runtime calls them from the completion stream's
+// one goroutine (the runtime calls them from its task stream's
 // consumer). It is reusable: Finalize resets the model's accumulator for
 // the next round while keeping the buffer allocated.
 type StreamingFedAvg struct {

@@ -72,9 +72,6 @@ func NewTieredSharded(shardSize, n int) *TieredFedAvg {
 	return t
 }
 
-// Edges reports the edge aggregator count.
-func (t *TieredFedAvg) Edges() int { return len(t.edges) }
-
 // Add validates one dense update (once, on edge 0's accumulator) and
 // folds it into every edge's owned slice. See StreamingFedAvg.Add for
 // the error contract.

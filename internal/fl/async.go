@@ -5,16 +5,18 @@ import (
 	"sort"
 
 	"fedtrans/internal/model"
-	"fedtrans/internal/par"
 )
 
 // This file is the FedBuff-style staleness-bounded asynchronous round
 // loop (Config.MaxStaleness ≥ 1): constant client concurrency, a
 // per-update staleness discount and a simulated device-time wall clock,
-// run through the shared streaming pipeline — par.TaskStream for
-// background local training, the round aggregator for folds, and the
-// synchronous path's trainTask, settle and applyCommitted for everything
-// a committed update touches.
+// run through the same pipeline as synchronous rounds — the runtime's
+// one task stream for background local training, the round aggregator
+// for folds, and trainTask, settle and applyCommitted for everything a
+// committed update touches. Where the synchronous loop keeps a window
+// of tasks ahead of an in-order frontier, this loop keeps
+// AsyncConcurrency dispatches in flight and waits each round's commit
+// set in (arrival, seq) order.
 //
 // Determinism: the commit schedule is computed before any training
 // result is read. A dispatch's arrival time is attemptChain, a walk of
@@ -24,15 +26,14 @@ import (
 // identical for any worker scheduling, including fully serial
 // execution.
 
-// asyncTask is one dispatched client: its training slot plus the
-// scheduling state the commit policy sorts on.
+// asyncTask is one dispatched client: its training slot, whose version
+// is the server round at dispatch (the model version the client
+// trains), plus the scheduling state the commit policy sorts on.
 type asyncTask struct {
 	slot       roundTask
-	version    int     // server round at dispatch (the model version trained)
 	seq        int     // global dispatch sequence, the total-order tiebreak
 	dispatchAt float64 // virtual clock at dispatch
 	arrival    float64 // dispatchAt + the attempt chain's simulated duration
-	tk         *par.Task
 	committed  bool
 }
 
@@ -57,18 +58,15 @@ func (rt *Runtime) asyncConcurrency() int {
 // a pooled husk re-armed in place when one is available (zero
 // allocations), a fresh clone otherwise. Runs on the consumer only.
 func (rt *Runtime) snapGet(m *model.Model) *model.Model {
-	if list := rt.snapFree[m.ID]; len(list) > 0 {
-		src := list[len(list)-1]
-		rt.snapFree[m.ID] = list[:len(list)-1]
+	if src, ok := rt.snaps.get(m.ID); ok {
 		src.ShareWeightsFrom(m)
 		return src
 	}
+	// Prime on the consumer: the background task and a concurrent
+	// checkpoint snapshot both read the caches. Pooled husks keep them
+	// warm across reuses.
 	src := m.Clone()
-	// Prime the snapshot's lazy caches on the consumer: the background
-	// task and a concurrent checkpoint snapshot both read them. Pooled
-	// husks keep these caches warm across reuses.
-	src.Params()
-	src.ParamCount()
+	primeCaches(src)
 	return src
 }
 
@@ -80,10 +78,7 @@ func (rt *Runtime) snapPut(src *model.Model) {
 	for _, p := range src.Params() {
 		p.Release()
 	}
-	if rt.snapFree == nil {
-		rt.snapFree = make(map[int][]*model.Model)
-	}
-	rt.snapFree[src.ID] = append(rt.snapFree[src.ID], src)
+	rt.snaps.put(src.ID, src)
 }
 
 // taskGet returns a zeroed asyncTask from the freelist, or a new one.
@@ -104,8 +99,7 @@ func (rt *Runtime) taskGet() *asyncTask {
 func (rt *Runtime) dispatch(round, client int, m *model.Model) {
 	at := rt.taskGet()
 	*at = asyncTask{
-		slot:       roundTask{client: client, m: m, src: rt.snapGet(m)},
-		version:    round,
+		slot:       roundTask{client: client, m: m, src: rt.snapGet(m), version: round},
 		seq:        rt.asyncSeq,
 		dispatchAt: rt.asyncNow,
 	}
@@ -114,14 +108,13 @@ func (rt *Runtime) dispatch(round, client int, m *model.Model) {
 }
 
 // launch schedules a dispatch's arrival from its attempt chain and
-// submits its first training attempt to the background task stream.
-// Dispatch and checkpoint resume both launch through here: arrival is a
-// pure function of (version, client, model), so it is never stored.
+// submits its first training attempt to the task stream. Dispatch and
+// checkpoint resume both launch through here: arrival is a pure
+// function of (version, client, model), so it is never stored.
 func (rt *Runtime) launch(at *asyncTask) {
-	at.arrival = at.dispatchAt + rt.attemptChain(at.version, at.slot.client, at.slot.m)
-	slot := &at.slot
-	version := at.version
-	at.tk = rt.asyncStr.Go(func() { rt.trainTask(version, 0, slot) })
+	u := &at.slot
+	at.arrival = at.dispatchAt + rt.attemptChain(u.version, u.client, u.m)
+	rt.stream.Go(&u.tk, u)
 	rt.inflight = append(rt.inflight, at)
 }
 
@@ -134,18 +127,6 @@ func (rt *Runtime) launch(at *asyncTask) {
 // the staleness budget still covers.
 func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[int]int, bool) {
 	cfg := rt.cfg
-	if rt.agg == nil {
-		rt.agg = rt.newAgg()
-	}
-	if rt.asyncStr == nil {
-		rt.asyncStr = par.NewTaskStream(rt.streamWindow())
-	}
-	// Prime the suite's lazy caches before any background work: stream
-	// tasks clone models on session-pool misses.
-	for _, m := range rt.suite {
-		m.Params()
-		m.ParamCount()
-	}
 
 	// Deterministic churn step, then top-up selection over the online
 	// population excluding clients already in flight — a client trains
@@ -201,7 +182,7 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 	})
 	commitN := 0
 	for _, at := range sorted {
-		if round-at.version >= cfg.MaxStaleness {
+		if round-at.slot.version >= cfg.MaxStaleness {
 			at.committed = true
 			commitN++
 		}
@@ -227,10 +208,10 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 		if !at.committed {
 			continue
 		}
-		rt.asyncStr.Wait(at.tk)
 		u := &at.slot
-		u.stale = round - at.version
-		_, ok := rt.settle(at.version, u, res)
+		rt.stream.Wait(&u.tk)
+		u.stale = round - u.version
+		_, ok := rt.settle(u.version, u, res)
 		rt.snapPut(u.src)
 		u.src = nil
 		if at.arrival > rt.asyncNow {
@@ -281,13 +262,14 @@ func (rt *Runtime) runAsyncRound(round int, res *Result) (float64, float64, map[
 }
 
 // drainAsync retires every still-in-flight dispatch once the round loop
-// ends: the run is over, so training results are discarded (FedBuff
-// drops in-flight work at termination), but upload buffers return to
-// their pools and the dispatch-time weight snapshots are released.
+// ends: the run is over, so training is withdrawn or its result
+// discarded (FedBuff drops in-flight work at termination), but upload
+// buffers return to their pools and the dispatch-time weight snapshots
+// are released.
 func (rt *Runtime) drainAsync() {
 	for _, at := range rt.inflight {
-		rt.asyncStr.Wait(at.tk)
 		u := &at.slot
+		rt.stream.Cancel(&u.tk)
 		rt.releaseUploads(u)
 		if u.src != nil {
 			rt.snapPut(u.src)

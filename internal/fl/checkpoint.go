@@ -10,7 +10,6 @@ import (
 
 	"fedtrans/internal/aggregate"
 	"fedtrans/internal/model"
-	"fedtrans/internal/par"
 	"fedtrans/internal/selection"
 	"fedtrans/internal/transform"
 )
@@ -311,9 +310,9 @@ func (d *ckptDec) u64() uint64 {
 	return v
 }
 
-func (d *ckptDec) i64() int64    { return int64(d.u64()) }
-func (d *ckptDec) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *ckptDec) int() int      { return int(d.i64()) }
+func (d *ckptDec) i64() int64   { return int64(d.u64()) }
+func (d *ckptDec) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *ckptDec) int() int     { return int(d.i64()) }
 
 func (d *ckptDec) bool() bool {
 	switch d.u8() {
@@ -888,13 +887,11 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 		// training task; marshalling happens later, off the round loop.
 		ck.Inflight = append(ck.Inflight, CkptInflight{
 			Client: at.slot.client, ModelID: at.slot.m.ID,
-			Version: at.version, Seq: at.seq, DispatchAt: at.dispatchAt,
+			Version: at.slot.version, Seq: at.seq, DispatchAt: at.dispatchAt,
 		})
 		s.srcs = append(s.srcs, at.slot.src.Clone())
 	}
-	if rt.agg != nil {
-		ck.Accums = rt.agg.Snapshot()
-	}
+	ck.Accums = rt.agg.Snapshot()
 	ck.Res = cloneResult(&rt.res)
 	return s
 }
@@ -1036,6 +1033,7 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	for _, m := range rt.suite {
 		m.Release()
 	}
+	primeCaches(suite...)
 	rt.suite = suite
 
 	rt.mgr.ImportUtilities(ck.Utilities)
@@ -1082,9 +1080,6 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 		rt.churn.RestoreResized(ck.ChurnOnline, rt.ds.Len())
 	}
 	if len(ck.Accums) > 0 {
-		if rt.agg == nil {
-			rt.agg = rt.newAgg()
-		}
 		byID := make(map[int]*model.Model, len(rt.suite))
 		for _, m := range rt.suite {
 			byID[m.ID] = m
@@ -1106,19 +1101,9 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	rt.staleCnt = ck.StaleCnt
 	rt.asyncSeq = ck.AsyncSeq
 	if len(ck.Inflight) > 0 {
-		if rt.agg == nil {
-			rt.agg = rt.newAgg()
-		}
-		if rt.asyncStr == nil {
-			rt.asyncStr = par.NewTaskStream(rt.streamWindow())
-		}
 		byID := make(map[int]*model.Model, len(rt.suite))
 		for _, m := range rt.suite {
 			byID[m.ID] = m
-		}
-		for _, m := range rt.suite {
-			m.Params()
-			m.ParamCount()
 		}
 		for i := range ck.Inflight {
 			f := &ck.Inflight[i]
@@ -1136,13 +1121,11 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 				return fmt.Errorf("fl: checkpoint in-flight model %d: %w", i, err)
 			}
 			src.ID = m.ID
-			src.Params()
-			src.ParamCount()
+			primeCaches(src)
 			// The interrupted run's training is redone deterministically
 			// from the snapshot weights.
 			rt.launch(&asyncTask{
-				slot:       roundTask{client: f.Client, m: m, src: src},
-				version:    f.Version,
+				slot:       roundTask{client: f.Client, m: m, src: src, version: f.Version},
 				seq:        f.Seq,
 				dispatchAt: f.DispatchAt,
 			})

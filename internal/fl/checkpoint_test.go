@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -178,33 +179,45 @@ func TestChaosQuorumCommitsUnderFailures(t *testing.T) {
 
 // TestChaosAbortLeavesWeightsUntouched: when every attempt crashes and
 // quorum can never be met, all rounds abort and the suite must be
-// byte-identical to a run that never trained at all.
+// byte-identical to a run that never trained at all. Each round loses
+// quorum at its second participant, so windows of 2 and up abort with
+// tasks still queued or running; under -race this pins that the abort
+// withdraws or finishes them before the round returns.
 func TestChaosAbortLeavesWeightsUntouched(t *testing.T) {
-	mk := func(rounds int) *Runtime {
-		ds, tr, spec := smokeSetup(t, 12)
-		cfg := DefaultConfig()
-		cfg.Rounds = rounds
-		cfg.ClientsPerRound = 4
-		cfg.EvalEvery = 2
-		cfg.ConvergePatience = 0
-		cfg.Quorum = 0.75
-		cfg.Chaos = chaos.Config{Seed: 7, CrashRate: 1}
-		return New(cfg, ds, tr, spec)
-	}
-	res := mk(6).Run()
-	if res.AbortedRounds != 6 {
-		t.Fatalf("AbortedRounds = %d, want 6 (every attempt crashes)", res.AbortedRounds)
-	}
-	if res.Overhead.DoCUpdates != 0 || res.Overhead.Transforms != 0 {
-		t.Errorf("aborted rounds leaked convergence evidence: %+v", res.Overhead)
-	}
-	if res.Failures == 0 {
-		t.Error("no failures recorded despite CrashRate 1")
-	}
-	untrained := mk(0).Run()
-	if res.MeanAcc != untrained.MeanAcc {
-		t.Errorf("aborted rounds changed weights: acc %.6f vs untrained %.6f",
-			res.MeanAcc, untrained.MeanAcc)
+	for _, mode := range []struct{ procs, window int }{
+		{1, 0}, {4, 1}, {4, 2}, {4, 64},
+	} {
+		t.Run(fmt.Sprintf("procs=%d/window=%d", mode.procs, mode.window), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(mode.procs)
+			defer runtime.GOMAXPROCS(prev)
+			mk := func(rounds int) *Runtime {
+				ds, tr, spec := smokeSetup(t, 12)
+				cfg := DefaultConfig()
+				cfg.Rounds = rounds
+				cfg.ClientsPerRound = 4
+				cfg.EvalEvery = 2
+				cfg.ConvergePatience = 0
+				cfg.Quorum = 0.75
+				cfg.Chaos = chaos.Config{Seed: 7, CrashRate: 1}
+				cfg.StreamWindow = mode.window
+				return New(cfg, ds, tr, spec)
+			}
+			res := mk(6).Run()
+			if res.AbortedRounds != 6 {
+				t.Fatalf("AbortedRounds = %d, want 6 (every attempt crashes)", res.AbortedRounds)
+			}
+			if res.Overhead.DoCUpdates != 0 || res.Overhead.Transforms != 0 {
+				t.Errorf("aborted rounds leaked convergence evidence: %+v", res.Overhead)
+			}
+			if res.Failures == 0 {
+				t.Error("no failures recorded despite CrashRate 1")
+			}
+			untrained := mk(0).Run()
+			if res.MeanAcc != untrained.MeanAcc {
+				t.Errorf("aborted rounds changed weights: acc %.6f vs untrained %.6f",
+					res.MeanAcc, untrained.MeanAcc)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	stdruntime "runtime"
@@ -69,12 +68,15 @@ type Config struct {
 	ServerYogi bool
 	// YogiLR is the server Yogi learning rate (default 0.02).
 	YogiLR float64
-	// StreamWindow bounds how many trained-but-not-yet-aggregated client
-	// updates the streaming round loop keeps in flight: the coordinator's
-	// peak update memory is O(StreamWindow × model bytes) regardless of
-	// ClientsPerRound. 0 uses 2×GOMAXPROCS (minimum 4). The round result
-	// is byte-identical for every window size — the window trades only
-	// pipeline overlap against memory.
+	// StreamWindow bounds how many client training tasks the synchronous
+	// round loop submits ahead of its fold frontier, and caps the
+	// background training workers of both round loops. A synchronous
+	// round's peak update memory is therefore O(StreamWindow × model
+	// bytes) regardless of ClientsPerRound. Asynchronous rounds hold up
+	// to AsyncConcurrency trained updates instead: every in-flight
+	// dispatch keeps its upload until it commits. 0 uses 2×GOMAXPROCS
+	// (minimum 4). The round result is byte-identical for every window
+	// size — the window trades only pipeline overlap against memory.
 	StreamWindow int
 	// MaxStaleness, when ≥ 1, runs FedBuff-style staleness-bounded
 	// asynchronous rounds: round r+1 begins while round-r stragglers are
@@ -304,26 +306,28 @@ type Runtime struct {
 	ckptMu  sync.Mutex
 	ckptErr error
 
-	// Streaming-aggregation state, all recycled across rounds so the
-	// steady-state round loop allocates O(1) regardless of participants:
-	// the per-model sharded accumulators, pooled training sessions and
-	// upload buffers, quantization scratch, and the per-round task /
+	// Streaming-aggregation state, built once in New and recycled across
+	// rounds so the steady-state round loop allocates O(1) regardless of
+	// participants: the round aggregator, the one task stream both round
+	// loops train clients on, pooled training sessions and upload
+	// buffers, quantization scratch, and the per-round task /
 	// loss-standardization / compatibility scratch slices.
 	agg        aggregate.Aggregator
-	sessions   sessionPool
-	uploads    uploadPool
-	quploads   quploadPool
+	stream     *par.TaskStream[*roundTask]
+	sessions   freeList[*localSession]
+	uploads    freeList[[]*tensor.Tensor]
+	quploads   freeList[[]compress.QuantizedTensor]
 	qscratch   map[int][]compress.QuantizedTensor
 	roundTasks []roundTask
 	// evalPanel is the lazily drawn EvalSample evaluation panel (sorted
 	// client indices); nil means every client. Derived purely from the
 	// config, so it needs no checkpoint state.
 	evalPanel []int
-	lossBuf    []float64
-	stdBuf     []float64
-	compatBuf  []*model.Model
-	activeBuf  []int
-	commitBuf  []*roundTask
+	lossBuf   []float64
+	stdBuf    []float64
+	compatBuf []*model.Model
+	activeBuf []int
+	commitBuf []*roundTask
 
 	// Asynchronous-mode state (Config.MaxStaleness ≥ 1): the virtual
 	// wall clock, the global dispatch sequence counter, the staleness
@@ -335,7 +339,6 @@ type Runtime struct {
 	staleSum int64
 	staleCnt int64
 	inflight []*asyncTask
-	asyncStr *par.TaskStream
 	sortBuf  []*asyncTask
 	candBuf  []int
 	busyBuf  map[int]bool
@@ -345,18 +348,23 @@ type Runtime struct {
 	// dispatch of the same model, and a freelist for the asyncTask
 	// scheduling records — together they flatten the async loop's
 	// per-dispatch allocations the way sessions/uploads are pooled.
-	snapFree map[int][]*model.Model
-	atFree   []*asyncTask
+	snaps  freeList[*model.Model]
+	atFree []*asyncTask
 }
 
 // roundTask is one selected, non-dropped participant's slot in the
-// streaming round pipeline: produce fills the upload buffers and the
-// scalar outcomes, consume folds the upload into the accumulator and
-// releases the buffers back to the pool. ok marks clients whose update
-// committed.
+// streaming round pipeline: its stream task trains the client into the
+// upload buffers and scalar outcomes, and settle folds the upload into
+// the accumulator and releases the buffers back to the pool. ok marks
+// clients whose update committed.
 type roundTask struct {
 	client int
 	m      *model.Model
+	// version is the server round the client trains for: the current
+	// round in synchronous mode, the dispatch round in asynchronous mode.
+	version int
+	// tk is the slot's reusable task in the runtime's stream.
+	tk par.Task[*roundTask]
 	// src, in asynchronous mode, is the COW snapshot of m taken at
 	// dispatch: the client trains from the weights it downloaded, not
 	// the weights the server has since moved past. nil in synchronous
@@ -442,7 +450,21 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 	// synthesis clamps every device to it, so setup cost stays
 	// independent of the population size.
 	rt.maxCapacity = trace.CapacityBound()
+	rt.agg = rt.newAgg()
+	rt.stream = par.NewTaskStream(rt.streamWindow(), rt.trainFirst)
+	primeCaches(m0)
 	return rt
+}
+
+// primeCaches builds each model's lazily cached Params and ParamCount
+// on the calling goroutine. Every model stream tasks may read — suite
+// members, dispatch snapshots — is primed when it is created, so
+// concurrent readers never race the cache build.
+func primeCaches(ms ...*model.Model) {
+	for _, m := range ms {
+		m.Params()
+		m.ParamCount()
+	}
 }
 
 // newAgg builds the round aggregator the config asks for: hierarchical
@@ -600,25 +622,22 @@ func (rt *Runtime) quantScratch(m *model.Model) []compress.QuantizedTensor {
 	return qs
 }
 
-// errQuorumLost aborts the completion stream once the remaining
-// participants can no longer reach the round quorum.
-var errQuorumLost = errors.New("fl: round lost quorum")
-
 // runRound executes one FL round as a streaming, sharded aggregation
 // pipeline and returns the weighted mean training loss, the simulated
 // round completion time, the per-model update counts, and whether the
 // round committed.
 //
-// As each parallel local-training task finishes, the completion stream
-// (par.StreamErr) hands it to the consumer in deterministic submission
-// order: the update is clipped/noised, its uplink is (optionally)
-// quantized, and it is folded straight into the per-model sharded
-// accumulator — after which its upload buffers go back to the pool for
-// the next client. The coordinator therefore holds O(StreamWindow)
-// updates at peak instead of all ClientsPerRound of them, and the
-// post-round stages (FedAvg finalize, Yogi, activeness, joint utility,
-// soft aggregation) consume accumulator state plus per-task scalars
-// rather than retained weight tensors.
+// Local training runs on the runtime's task stream, at most
+// streamWindow() tasks ahead of the fold frontier. The consumer waits
+// the tasks in submission order and settles each one: the update is
+// clipped/noised, its uplink is (optionally) quantized, and it is folded
+// straight into the per-model sharded accumulator — after which its
+// upload buffers go back to the pool for the next client. The
+// coordinator therefore holds O(StreamWindow) updates at peak instead
+// of all ClientsPerRound of them, and the post-round stages (FedAvg
+// finalize, Yogi, activeness, joint utility, soft aggregation) consume
+// accumulator state plus per-task scalars rather than retained weight
+// tensors.
 //
 // Fault tolerance: each participant attempt may fail (injected chaos
 // fault, corrupt or non-finite upload rejected at the accumulator
@@ -628,7 +647,9 @@ var errQuorumLost = errors.New("fl: round lost quorum")
 // consumer so the retry order — and therefore every rng draw — is
 // deterministic. When Quorum is set, the round commits only if enough
 // participants fold; otherwise the partial aggregate is discarded and
-// the suite is left untouched.
+// the suite is left untouched. Once the survivors can no longer reach
+// quorum the round stops early: queued tasks are withdrawn and running
+// ones finish before runRound returns.
 func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]int, bool) {
 	cfg := rt.cfg
 	if cfg.MaxStaleness > 0 {
@@ -657,22 +678,10 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 		case dropped:
 			roundDropouts++
 		case m != nil:
-			tasks = append(tasks, roundTask{client: c, m: m})
+			tasks = append(tasks, roundTask{client: c, m: m, version: round})
 		}
 	}
 	rt.roundTasks = tasks // keep the grown capacity for the next round
-
-	if rt.agg == nil {
-		rt.agg = rt.newAgg()
-	}
-	// Prime each model's lazily built Params and ParamCount caches before
-	// the parallel section: stream workers read suite params concurrently
-	// (session downloads, upload-buffer shaping, cost accounting) and
-	// must never race the cache build.
-	for _, m := range rt.suite {
-		m.Params()
-		m.ParamCount()
-	}
 
 	// Quorum is measured against everyone the round tried to reach:
 	// dropped-out clients count toward the denominator, so heavy dropout
@@ -686,30 +695,35 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 	}
 	folded := 0
 	roundTime := 0.0
-	streamErr := par.StreamErr(len(tasks), rt.streamWindow(), func(i int) {
-		rt.trainTask(round, 0, &tasks[i])
-	}, func(i int) error {
-		elapsed, ok := rt.settle(round, &tasks[i], res)
+	next := min(len(tasks), rt.streamWindow()) // tasks[:next] are submitted
+	for i := 0; i < next; i++ {
+		rt.stream.Go(&tasks[i].tk, &tasks[i])
+	}
+	for i := range tasks {
+		u := &tasks[i]
+		rt.stream.Wait(&u.tk)
+		elapsed, ok := rt.settle(round, u, res)
 		if elapsed > roundTime {
 			roundTime = elapsed
 		}
 		if ok {
 			folded++
-			return nil
+		} else if need > 0 && folded+len(tasks)-(i+1) < need {
+			// The survivors can no longer reach quorum: withdraw the
+			// submitted tasks and reclaim the uploads of those that ran.
+			for j := i + 1; j < next; j++ {
+				rt.stream.Cancel(&tasks[j].tk)
+				rt.releaseUploads(&tasks[j])
+			}
+			break
 		}
-		if need > 0 && folded+(len(tasks)-(i+1)) < need {
-			return errQuorumLost // survivors can no longer reach quorum
+		if next < len(tasks) {
+			rt.stream.Go(&tasks[next].tk, &tasks[next])
+			next++
 		}
-		return nil
-	})
-
-	// An abort leaves later tasks produced-but-unconsumed (or never
-	// produced); reclaim any upload buffers they hold.
-	for i := range tasks {
-		rt.releaseUploads(&tasks[i])
 	}
 
-	if need > 0 && (streamErr != nil || folded < need) {
+	if folded < need {
 		// Quorum missed: discard the partial aggregate; weights, DoC and
 		// utilities stay exactly as they were before the round.
 		rt.agg.Abort()
@@ -848,6 +862,10 @@ func (rt *Runtime) applyCommitted(round int, committed []*roundTask, res *Result
 	return lossSum / lossWeight, perModel
 }
 
+// trainFirst is the stream's run function: a slot's first training
+// attempt at its own version. Retries run inline in settle.
+func (rt *Runtime) trainFirst(u *roundTask) { rt.trainTask(u.version, 0, u) }
+
 // trainTask runs one local-training attempt for a round slot. The chaos
 // draw happens first — a crashed client never trains — and the local
 // seed is attempt-salted so a retry is a fresh deterministic training
@@ -867,7 +885,13 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 	}
 	quantized := rt.remoteQuantized()
 	if u.up == nil && !quantized {
-		u.up = rt.uploads.get(src)
+		var ok bool
+		if u.up, ok = rt.uploads.get(src.ID); !ok {
+			u.up = make([]*tensor.Tensor, len(src.Params()))
+			for i, p := range src.Params() {
+				u.up[i] = tensor.New(p.Shape...)
+			}
+		}
 	}
 	if fault == chaos.Crash {
 		u.loss, u.samples = 0, 0
@@ -878,7 +902,10 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 		spec := TrainSpec{Round: round, Attempt: attempt, Client: u.client, Seed: seed}
 		if quantized {
 			if u.q == nil {
-				u.q = rt.quploads.get(src)
+				var ok bool
+				if u.q, ok = rt.quploads.get(src.ID); !ok {
+					u.q = make([]compress.QuantizedTensor, len(src.Params()))
+				}
 			}
 			u.loss, u.samples, u.err = cfg.Trainer.(QuantizedTrainer).TrainQuantized(src, spec, cfg.Local, u.q)
 		} else {
@@ -889,7 +916,10 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 			return
 		}
 	} else {
-		sess := rt.sessions.get(src)
+		sess, ok := rt.sessions.get(src.ID)
+		if !ok {
+			sess = newLocalSession(src)
+		}
 		u.loss, u.samples = sess.run(src, rt.ds.Fetch(&sess.cur, u.client), cfg.Local, seed, u.up)
 		rt.sessions.put(src.ID, sess)
 	}
@@ -947,6 +977,7 @@ func (rt *Runtime) tryTransform(round int) bool {
 	if child.MACsPerSample() > rt.maxCapacity {
 		return false
 	}
+	primeCaches(child)
 	rt.suite = append(rt.suite, child)
 	rt.mgr.InheritUtilities(parent.ID, child.ID)
 	rt.act[child.ID] = transform.NewActivenessTracker(cfg.Transform.ActWindow)
@@ -984,12 +1015,6 @@ func (rt *Runtime) EvaluateAll() (accs, bestMACs []float64) {
 		compatible := assign.Compatible(rt.suite, rt.trace.At(c).CapacityMACs)
 		chosen[i] = rt.mgr.Best(c, compatible)
 	}
-	// Prime the lazily built Params caches before the parallel section:
-	// workers read them concurrently for the weight refresh.
-	for _, m := range rt.suite {
-		m.Params()
-		m.ParamCount()
-	}
 	par.Chunked(k, func(lo, hi int) {
 		local := make(map[int]*localSession)
 		// One synthesis cursor per worker: generative datasets
@@ -1003,7 +1028,10 @@ func (rt *Runtime) EvaluateAll() (accs, bestMACs []float64) {
 			}
 			s := local[m.ID]
 			if s == nil {
-				s = rt.sessions.get(m)
+				var ok bool
+				if s, ok = rt.sessions.get(m.ID); !ok {
+					s = newLocalSession(m)
+				}
 				s.m.SetWeights(m.Params())
 				local[m.ID] = s
 			}

@@ -51,10 +51,10 @@ func TestRuntimeLearnsAndTransforms(t *testing.T) {
 // the streaming aggregation pipeline over copy-on-write clones: a full
 // training run — transformation, soft aggregation, quantized uploads,
 // clipping+noise, and dropouts all enabled, so every COW
-// clone/unshare/snapshot path, the ordered completion stream, and the
+// clone/unshare/snapshot path, the ordered task stream, and the
 // sharded accumulator folds are all exercised — must produce a
 // byte-identical result whether local training runs serially
-// (GOMAXPROCS=1, where the stream degrades to produce-then-consume) or
+// (GOMAXPROCS=1, where the stream degrades to train-then-fold) or
 // across the worker pool, and regardless of the stream window size
 // (full backpressure at window 1 through effectively-unbounded). This
 // extends the PR 1 serial-equals-parallel guarantee through the PR 3
@@ -95,5 +95,33 @@ func TestRunDeterminismSerialParallelCOW(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestSyncRoundUploadSetsBoundedByWindow pins the synchronous loop's
+// memory bound: with StreamWindow 2, a 40-participant round never has
+// more than two upload sets out at once — so the pool allocates at most
+// two — and every set is back in the pool when the round returns.
+func TestSyncRoundUploadSetsBoundedByWindow(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	ds, tr, spec := smokeSetup(t, 60)
+	cfg := DefaultConfig()
+	cfg.ClientsPerRound = 40
+	cfg.StreamWindow = 2
+	cfg.DisableTransform = true
+	rt := New(cfg, ds, tr, spec)
+	var res Result
+	for round := 0; round < 3; round++ {
+		if _, _, perModel, ok := rt.runRound(round, &res); !ok || len(perModel) == 0 {
+			t.Fatalf("round %d did not commit any update", round)
+		}
+	}
+	sets := 0
+	for _, list := range rt.uploads.free {
+		sets += len(list)
+	}
+	if sets < 1 || sets > 2 {
+		t.Fatalf("%d upload sets in the pool after the rounds, want 1 or 2 (window 2)", sets)
 	}
 }

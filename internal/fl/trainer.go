@@ -29,8 +29,9 @@ type TrainSpec struct {
 // normal retry/quorum machinery, exactly as for an injected chaos
 // fault. m is only read.
 //
-// A Trainer must be safe for concurrent calls: the streaming round loop
-// dispatches up to StreamWindow attempts at once.
+// A Trainer must be safe for concurrent calls: the round loops run
+// attempts on up to StreamWindow background workers plus the
+// coordinator's own goroutine.
 type Trainer interface {
 	Train(m *model.Model, spec TrainSpec, cfg LocalConfig, upload []*tensor.Tensor) (loss float64, samples int, err error)
 }

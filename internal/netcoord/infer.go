@@ -15,21 +15,15 @@ import (
 // inference connection is served by its own goroutine.
 type PredictFunc func(rows [][]float64) ([]int, error)
 
-// ServeInference accepts connections on ln and answers PREDICT frames
-// through predict until the listener closes. dim is the model's flat
-// feature dimension, advertised in the WELCOME frame so clients can
-// validate rows before they travel. Frame exchanges are bounded by
-// DefaultIOTimeout; use ServeInferenceTimeout to pick the deadline.
-func ServeInference(ln net.Listener, dim int, predict PredictFunc) error {
-	return ServeInferenceTimeout(ln, dim, predict, DefaultIOTimeout)
-}
-
-// ServeInferenceTimeout is ServeInference with an explicit frame
-// deadline: the handshake, each PREDICT body (once its header arrives),
-// and each PREDICTRES write must complete within timeout, so one
-// stalled client cannot pin its serving goroutine forever. The idle
-// wait between requests on a healthy connection is never bounded.
-// timeout 0 means DefaultIOTimeout; negative disables deadlines.
+// ServeInferenceTimeout accepts connections on ln and answers PREDICT
+// frames through predict until the listener closes. dim is the model's
+// flat feature dimension, advertised in the WELCOME frame so clients
+// can validate rows before they travel. The handshake, each PREDICT
+// body (once its header arrives), and each PREDICTRES write must
+// complete within timeout, so one stalled client cannot pin its serving
+// goroutine forever. The idle wait between requests on a healthy
+// connection is never bounded. timeout 0 means DefaultIOTimeout;
+// negative disables deadlines.
 func ServeInferenceTimeout(ln net.Listener, dim int, predict PredictFunc, timeout time.Duration) error {
 	for {
 		c, err := ln.Accept()
@@ -129,8 +123,8 @@ type InferClient struct {
 	req []byte
 }
 
-// DialInference connects to a ServeInference endpoint and completes the
-// handshake. Frame exchanges are bounded by DefaultIOTimeout; use
+// DialInference connects to a ServeInferenceTimeout endpoint and
+// completes the handshake. Frame exchanges are bounded by DefaultIOTimeout; use
 // DialInferenceTimeout to pick the deadline.
 func DialInference(addr string) (*InferClient, error) {
 	return DialInferenceTimeout(addr, DefaultIOTimeout)

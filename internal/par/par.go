@@ -1,8 +1,10 @@
 // Package par provides the bounded, deterministic worker pools used by
-// the FL runtime (per-client evaluation, local training) and the
-// experiment drivers (grid cells, sweeps). Parallel width is keyed off
-// GOMAXPROCS; every task writes only to task-indexed state, so results
-// are identical to a serial execution regardless of scheduling.
+// the FL runtime and the experiment drivers: ForN and Chunked fan out
+// index ranges (per-client evaluation, grid cells, sweeps), and
+// TaskStream is the one producer/consumer pipeline both round loops
+// train clients on. Parallel width is keyed off GOMAXPROCS; every task
+// writes only to task-owned state, so results are identical to a serial
+// execution regardless of scheduling.
 //
 // Extra workers are drawn from one process-wide token budget, and the
 // calling goroutine always participates, so nested fan-outs (a parallel
@@ -78,220 +80,79 @@ func ForN(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Stream is the bounded producer/consumer pipeline behind the streaming
-// round loop: produce(i) runs for every i in [0, n) across the worker
-// pool (the same process-wide token budget as ForN), while consume(i) is
-// called exactly once per index, in strictly ascending index order, on
-// the calling goroutine, overlapping with production. At most window
-// results are outstanding — claimed for production but not yet consumed
-// — at any moment, so peak memory for per-item results is O(window)
-// instead of O(n): a producer that runs ahead of the consumption
-// frontier blocks until the frontier catches up.
-//
-// Because consume runs single-threaded in index order, it may use shared
-// state (an RNG, accumulators) without synchronization and the overall
-// result is byte-identical to the serial loop
-//
-//	for i := 0; i < n; i++ { produce(i); consume(i) }
-//
-// which is exactly what Stream degrades to at GOMAXPROCS=1 or when the
-// token budget is exhausted. produce must confine its writes to
-// index-owned state; consume(i) happens-after produce(i).
-func Stream(n, window int, produce, consume func(i int)) {
-	StreamErr(n, window, produce, func(i int) error {
-		consume(i)
-		return nil
-	})
-}
-
-// StreamErr is Stream with an early-abort path: when consume returns a
-// non-nil error, no further indices are claimed for production or
-// consumed, outstanding producers are drained (every produce already
-// started runs to completion — no goroutine is leaked and no index-owned
-// state is left half-written), and the error is returned. Indices after
-// the failed one may never be produced at all; callers owning per-index
-// resources must tolerate both produced-but-unconsumed and
-// never-produced indices after an abort.
-func StreamErr(n, window int, produce func(i int), consume func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if window < 1 {
-		window = 1
-	}
-	w := Limit(n)
-	// At most window items are ever claimable at once, so workers beyond
-	// that would only park on the condvar while pinning process-wide pool
-	// tokens — cap the crew (caller included) at the window.
-	if w > window {
-		w = window
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			produce(i)
-			if err := consume(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		next     int // next index to claim for production
-		frontier int // next index to consume
-		aborted  bool
-		done     = make([]bool, n)
-	)
-	claim := func() (int, bool) {
-		// Caller holds mu. Claims the next index if the window allows.
-		if !aborted && next < n && next < frontier+window {
-			i := next
-			next++
-			return i, true
-		}
-		return 0, false
-	}
-	finish := func(i int) {
-		mu.Lock()
-		done[i] = true
-		cond.Broadcast()
-		mu.Unlock()
-	}
-	worker := func() {
-		for {
-			mu.Lock()
-			for !aborted && next < n && next >= frontier+window {
-				cond.Wait()
-			}
-			i, ok := claim()
-			mu.Unlock()
-			if !ok {
-				return // all indices claimed, or the stream aborted
-			}
-			produce(i)
-			finish(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < w-1; g++ {
-		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer func() {
-					<-tokens
-					wg.Done()
-				}()
-				worker()
-			}()
-		default:
-			g = w // budget exhausted; the caller alone produces the rest
-		}
-	}
-	// The calling goroutine drains the completion stream in index order,
-	// producing itself whenever the frontier item is not ready and the
-	// window still has room.
-	var err error
-	for frontier < n {
-		mu.Lock()
-		if done[frontier] {
-			i := frontier
-			mu.Unlock()
-			cerr := consume(i)
-			mu.Lock()
-			frontier++
-			if cerr != nil {
-				err = cerr
-				aborted = true
-			}
-			cond.Broadcast()
-			mu.Unlock()
-			if cerr != nil {
-				break
-			}
-			continue
-		}
-		if i, ok := claim(); ok {
-			mu.Unlock()
-			produce(i)
-			finish(i)
-			continue
-		}
-		for !done[frontier] && !(next < n && next < frontier+window) {
-			cond.Wait()
-		}
-		mu.Unlock()
-	}
-	mu.Lock()
-	cond.Broadcast() // frontier == n or aborted: release waiting workers
-	mu.Unlock()
-	wg.Wait()
-	return err
-}
-
-// Task states in a TaskStream.
+// Task states in a TaskStream. The zero value is idle: never
+// submitted, finished, or withdrawn.
 const (
-	taskQueued  = iota // submitted, claimable by a worker or by Wait
-	taskRunning        // some goroutine is executing fn
-	taskDone           // fn returned
+	taskIdle    = iota
+	taskQueued  // submitted, claimable by a worker or by Wait
+	taskRunning // some goroutine is executing the stream's run function
 )
 
-// Task is one submitted unit of work in a TaskStream. The zero value is
-// not useful; obtain Tasks from TaskStream.Go.
-type Task struct {
-	fn    func()
+// Task is one unit of work in a TaskStream. The caller owns it: a Task
+// embedded in a reusable slot is resubmitted round after round without
+// allocating. It must not be resubmitted while queued or running.
+type Task[T any] struct {
+	arg   T
 	state int
 }
 
-// TaskStream generalizes Stream/StreamErr's completion stream to
-// dynamically submitted tasks whose consumption order — and epoch — the
-// consumer chooses: where StreamErr claims a fixed index range and
-// consumes it in ascending order within one epoch, a TaskStream lets the
-// single consumer release producers into later epochs before earlier
-// epochs' items commit (the staleness-bounded asynchronous round loop
-// schedules over it; the staleness bound itself is the scheduler's
-// commit policy, enforced by which tasks it chooses to Wait on each
-// epoch). StreamErr remains the synchronous special case — its window
-// semantics and results are untouched.
+// TaskStream is the bounded producer/consumer pipeline behind both
+// round loops. A single consumer goroutine submits tasks with Go and
+// consumes them with Wait, in whatever order it chooses: the
+// synchronous round loop keeps a fixed window of tasks ahead of its
+// fold frontier and waits them in submission order; the
+// staleness-bounded asynchronous loop waits each round's commit set in
+// (arrival, seq) order while later dispatches keep training. How far
+// ahead of the consumer work may run is the caller's policy: the stream
+// holds exactly what was submitted.
 //
 // Producers run on the shared process-wide token budget, capped at
 // limit background workers. Wait(t) is the consumption point: a task no
-// worker has claimed runs inline on the caller — so with no spare
-// tokens or GOMAXPROCS=1 the stream degrades to a serial loop executing
-// tasks in Wait order — and a task mid-execution is awaited. Because a
-// task's fn must confine its writes to task-owned state, results are
-// byte-identical regardless of which goroutine ran which task.
+// worker has claimed runs inline on the caller, and while a worker runs
+// t the caller runs other queued tasks instead of idling. With no spare
+// tokens or GOMAXPROCS=1 the stream therefore degrades to a serial loop
+// executing tasks in Wait order. Because the run function must confine
+// its writes to task-owned state, results are byte-identical regardless
+// of which goroutine ran which task.
 //
-// Go and Wait must be called from a single consumer goroutine.
-type TaskStream struct {
+// Go, Wait and Cancel must be called from a single consumer goroutine.
+type TaskStream[T any] struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*Task // submitted, not yet claimed
-	workers int     // live background workers
+	run     func(T)
+	queue   []*Task[T] // submitted, not yet claimed: queue[head:]
+	head    int
+	workers int // live background workers
 	limit   int
 }
 
-// NewTaskStream returns a stream running at most limit background
-// producers (additionally bounded by live GOMAXPROCS and the shared
-// token budget; limit < 1 means every task runs inline at Wait).
-func NewTaskStream(limit int) *TaskStream {
-	s := &TaskStream{limit: limit}
+// NewTaskStream returns a stream that calls run(arg) once per submitted
+// task, on at most limit background workers (additionally bounded by
+// live GOMAXPROCS and the shared token budget; limit < 1 means every
+// task runs inline on the consumer).
+func NewTaskStream[T any](limit int, run func(T)) *TaskStream[T] {
+	s := &TaskStream[T]{run: run, limit: limit}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Go submits fn for execution and returns its Task handle. fn may begin
-// on a background worker immediately or run inline later at Wait; it
-// must confine its writes to task-owned state.
-func (s *TaskStream) Go(fn func()) *Task {
-	t := &Task{fn: fn}
+// Go submits t to run with arg. The run may begin on a background
+// worker immediately or inline on the consumer later, at a Wait.
+func (s *TaskStream[T]) Go(t *Task[T], arg T) {
 	s.mu.Lock()
+	t.arg, t.state = arg, taskQueued
+	if len(s.queue) == cap(s.queue) && s.head > 0 {
+		// Slide the live tail down instead of growing: a window that
+		// keeps the queue short reuses one backing array forever.
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
 	s.queue = append(s.queue, t)
 	spawn := false
-	// Mirror ForN/StreamErr's degradation: background workers only while
-	// the live GOMAXPROCS leaves room for the consumer, within the
-	// stream's own cap, and within the process-wide budget.
+	// Mirror ForN's degradation: background workers only while the live
+	// GOMAXPROCS leaves room for the consumer, within the stream's own
+	// cap, and within the process-wide budget.
 	if s.workers < s.limit && s.workers < runtime.GOMAXPROCS(0)-1 {
 		select {
 		case tokens <- struct{}{}:
@@ -304,55 +165,89 @@ func (s *TaskStream) Go(fn func()) *Task {
 	if spawn {
 		go s.worker()
 	}
-	return t
 }
 
-func (s *TaskStream) worker() {
+func (s *TaskStream[T]) worker() {
 	s.mu.Lock()
-	for len(s.queue) > 0 {
-		t := s.queue[0]
-		s.queue = s.queue[1:]
-		t.state = taskRunning
-		s.mu.Unlock()
-		t.fn()
-		s.mu.Lock()
-		t.state = taskDone
-		s.cond.Broadcast()
+	for s.head < len(s.queue) {
+		s.runLocked(s.pop())
 	}
 	s.workers--
 	s.mu.Unlock()
 	<-tokens
 }
 
-// Wait ensures t's fn has run and returns: a still-queued task is
-// claimed and run inline on the caller, a running task is awaited, a
-// finished task returns immediately. After Wait returns, all of fn's
-// writes are visible to the caller. Waiting the same task again is a
-// no-op.
-func (s *TaskStream) Wait(t *Task) {
-	s.mu.Lock()
-	switch t.state {
-	case taskQueued:
-		for i, q := range s.queue {
-			if q == t {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
+// pop claims the oldest queued task. The caller holds mu.
+func (s *TaskStream[T]) pop() *Task[T] {
+	t := s.queue[s.head]
+	s.queue[s.head] = nil
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	return t
+}
+
+// withdraw removes a queued t from the queue. The caller holds mu.
+func (s *TaskStream[T]) withdraw(t *Task[T]) {
+	q := s.queue[s.head:]
+	for i, x := range q {
+		if x == t {
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = nil
+			s.queue = s.queue[:len(s.queue)-1]
+			break
 		}
-		t.state = taskRunning
-		s.mu.Unlock()
-		t.fn()
-		s.mu.Lock()
-		t.state = taskDone
-		s.mu.Unlock()
-	case taskRunning:
-		for t.state != taskDone {
+	}
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+	t.state = taskIdle
+}
+
+// runLocked runs a claimed task with mu released. The caller holds mu.
+func (s *TaskStream[T]) runLocked(t *Task[T]) {
+	t.state = taskRunning
+	s.mu.Unlock()
+	s.run(t.arg)
+	s.mu.Lock()
+	t.state = taskIdle
+	s.cond.Broadcast()
+}
+
+// Wait ensures t has run and returns: a still-queued t is claimed and
+// run inline on the caller, and while a worker runs t the caller runs
+// other queued tasks, sleeping only when none is left. After Wait
+// returns, all of t's writes are visible to the caller. Waiting an idle
+// task is a no-op.
+func (s *TaskStream[T]) Wait(t *Task[T]) {
+	s.mu.Lock()
+	if t.state == taskQueued {
+		s.withdraw(t)
+		s.runLocked(t)
+	}
+	for t.state == taskRunning {
+		if s.head < len(s.queue) {
+			s.runLocked(s.pop())
+		} else {
 			s.cond.Wait()
 		}
-		s.mu.Unlock()
-	default: // taskDone
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
+}
+
+// Cancel withdraws a still-queued t, so it never runs, and otherwise
+// waits for a running t to finish. After Cancel returns, t is idle and
+// nothing in the stream refers to it.
+func (s *TaskStream[T]) Cancel(t *Task[T]) {
+	s.mu.Lock()
+	if t.state == taskQueued {
+		s.withdraw(t)
+	}
+	for t.state == taskRunning {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
 }
 
 // Chunked splits [0, n) into one contiguous range per worker and runs

@@ -1,101 +1,11 @@
 package par
 
 import (
-	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestStreamConsumesInOrderOnce(t *testing.T) {
-	for _, window := range []int{1, 2, 7, 64} {
-		const n = 200
-		produced := make([]int32, n)
-		var order []int
-		Stream(n, window, func(i int) {
-			atomic.AddInt32(&produced[i], 1)
-		}, func(i int) {
-			if atomic.LoadInt32(&produced[i]) != 1 {
-				t.Errorf("window %d: consume(%d) before/without produce", window, i)
-			}
-			order = append(order, i)
-		})
-		if len(order) != n {
-			t.Fatalf("window %d: consumed %d of %d", window, len(order), n)
-		}
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("window %d: consume order %v... not ascending", window, order[:i+1])
-			}
-		}
-		for i := range produced {
-			if produced[i] != 1 {
-				t.Fatalf("window %d: produce(%d) ran %d times", window, i, produced[i])
-			}
-		}
-	}
-}
-
-// TestStreamBoundsOutstanding pins the memory guarantee: at no moment
-// are more than window items claimed-for-production but not yet
-// consumed.
-func TestStreamBoundsOutstanding(t *testing.T) {
-	const n, window = 300, 5
-	var mu sync.Mutex
-	outstanding, maxOut := 0, 0
-	Stream(n, window, func(i int) {
-		mu.Lock()
-		outstanding++
-		if outstanding > maxOut {
-			maxOut = outstanding
-		}
-		mu.Unlock()
-	}, func(i int) {
-		mu.Lock()
-		outstanding--
-		mu.Unlock()
-	})
-	if maxOut > window {
-		t.Fatalf("%d items outstanding, window %d", maxOut, window)
-	}
-	if maxOut == 0 {
-		t.Fatal("no item ever produced")
-	}
-}
-
-// TestStreamMatchesSerial pins byte-identical results to the serial
-// produce-then-consume loop when the consumer owns shared state (here a
-// running checksum whose value depends on consumption order).
-func TestStreamMatchesSerial(t *testing.T) {
-	const n = 128
-	run := func(window int) uint64 {
-		results := make([]uint64, n)
-		var sum uint64 = 1
-		Stream(n, window, func(i int) {
-			results[i] = uint64(i)*2654435761 + 1
-		}, func(i int) {
-			sum = sum*31 + results[i]
-		})
-		return sum
-	}
-	want := run(1)
-	for _, w := range []int{2, 3, 16, n} {
-		if got := run(w); got != want {
-			t.Fatalf("window %d checksum %d != serial %d", w, got, want)
-		}
-	}
-}
-
-func TestStreamEmptyAndSingle(t *testing.T) {
-	Stream(0, 4, func(int) { t.Fatal("produce on n=0") }, func(int) { t.Fatal("consume on n=0") })
-	ran := false
-	Stream(1, 0, func(i int) {}, func(i int) { ran = true }) // window clamps to 1
-	if !ran {
-		t.Fatal("single-item stream did not consume")
-	}
-}
 
 func withGOMAXPROCS(n int, fn func()) {
 	prev := runtime.GOMAXPROCS(n)
@@ -175,101 +85,6 @@ func TestLimit(t *testing.T) {
 	})
 }
 
-// TestStreamErrAbortDrainsProducers pins the early-abort contract: a
-// consumer error mid-window must stop the stream, drain every producer
-// already started (no leaked goroutines, no deadlock), never consume a
-// later index, and return the error.
-func TestStreamErrAbortDrainsProducers(t *testing.T) {
-	errBoom := errors.New("boom")
-	for _, procs := range []int{1, 4} {
-		withGOMAXPROCS(procs, func() {
-			for _, window := range []int{1, 2, 7, 64} {
-				const n, failAt = 120, 23
-				before := runtime.NumGoroutine()
-				produced := make([]int32, n)
-				var consumed []int
-				err := StreamErr(n, window, func(i int) {
-					atomic.AddInt32(&produced[i], 1)
-				}, func(i int) error {
-					if atomic.LoadInt32(&produced[i]) != 1 {
-						t.Errorf("procs %d window %d: consume(%d) before produce", procs, window, i)
-					}
-					consumed = append(consumed, i)
-					if i == failAt {
-						return errBoom
-					}
-					return nil
-				})
-				if err != errBoom {
-					t.Fatalf("procs %d window %d: err = %v, want errBoom", procs, window, err)
-				}
-				if len(consumed) != failAt+1 {
-					t.Fatalf("procs %d window %d: consumed %d indices, want %d (nothing after the failure)",
-						procs, window, len(consumed), failAt+1)
-				}
-				for i, v := range consumed {
-					if v != i {
-						t.Fatalf("procs %d window %d: consume order broken at %d: %v", procs, window, i, consumed[:i+1])
-					}
-				}
-				// Outstanding producers were at most a window ahead of the
-				// failure point; everything claimed must have completed
-				// exactly once, and nothing beyond the window could start.
-				for i := range produced {
-					if produced[i] > 1 {
-						t.Fatalf("procs %d window %d: produce(%d) ran %d times", procs, window, i, produced[i])
-					}
-					if i > failAt+window && produced[i] != 0 {
-						t.Fatalf("procs %d window %d: produce(%d) ran after abort beyond the window", procs, window, i)
-					}
-				}
-				// All workers must have exited: StreamErr returns only after
-				// wg.Wait, so any surplus goroutines are leaks.
-				deadline := time.Now().Add(2 * time.Second)
-				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if got := runtime.NumGoroutine(); got > before {
-					t.Fatalf("procs %d window %d: %d goroutines after abort, started with %d (leak)",
-						procs, window, got, before)
-				}
-			}
-		})
-	}
-}
-
-// TestStreamErrNoErrorMatchesStream pins that the error path is inert
-// when the consumer never fails.
-func TestStreamErrNoErrorMatchesStream(t *testing.T) {
-	const n = 100
-	var order []int
-	if err := StreamErr(n, 8, func(i int) {}, func(i int) error {
-		order = append(order, i)
-		return nil
-	}); err != nil {
-		t.Fatalf("err = %v, want nil", err)
-	}
-	if len(order) != n {
-		t.Fatalf("consumed %d of %d", len(order), n)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order broken at %d", i)
-		}
-	}
-}
-
-// TestStreamErrFirstIndexFailure aborts before any pipeline overlap has
-// built up — the degenerate case where the failure is at the frontier's
-// first item.
-func TestStreamErrFirstIndexFailure(t *testing.T) {
-	errBoom := errors.New("boom")
-	err := StreamErr(50, 16, func(i int) {}, func(i int) error { return errBoom })
-	if err != errBoom {
-		t.Fatalf("err = %v, want errBoom", err)
-	}
-}
-
 // TestTaskStreamRunsEveryTaskOnce submits a batch of tasks and waits
 // them in a scrambled, consumer-chosen order: every task must run
 // exactly once and its writes must be visible after Wait, at any
@@ -279,21 +94,20 @@ func TestTaskStreamRunsEveryTaskOnce(t *testing.T) {
 		withGOMAXPROCS(procs, func() {
 			for _, limit := range []int{0, 1, 8} {
 				const n = 100
-				s := NewTaskStream(limit)
 				ran := make([]int32, n)
 				out := make([]int, n)
-				tasks := make([]*Task, n)
-				for i := 0; i < n; i++ {
-					i := i
-					tasks[i] = s.Go(func() {
-						atomic.AddInt32(&ran[i], 1)
-						out[i] = i * i
-					})
+				s := NewTaskStream(limit, func(i int) {
+					atomic.AddInt32(&ran[i], 1)
+					out[i] = i * i
+				})
+				tasks := make([]Task[int], n)
+				for i := range tasks {
+					s.Go(&tasks[i], i)
 				}
 				// Wait in a deterministic but non-submission order.
 				for k := 0; k < n; k++ {
 					i := (k*37 + 11) % n
-					s.Wait(tasks[i])
+					s.Wait(&tasks[i])
 					if out[i] != i*i {
 						t.Fatalf("procs %d limit %d: task %d result not visible after Wait", procs, limit, i)
 					}
@@ -308,15 +122,17 @@ func TestTaskStreamRunsEveryTaskOnce(t *testing.T) {
 	}
 }
 
-// TestTaskStreamWaitIdempotent pins that re-waiting a finished task is a
-// no-op and never re-runs it.
+// TestTaskStreamWaitIdempotent pins that waiting an unsubmitted or
+// finished task is a no-op and never re-runs it.
 func TestTaskStreamWaitIdempotent(t *testing.T) {
-	s := NewTaskStream(4)
 	var runs int32
-	tk := s.Go(func() { atomic.AddInt32(&runs, 1) })
-	s.Wait(tk)
-	s.Wait(tk)
-	s.Wait(tk)
+	s := NewTaskStream(4, func(struct{}) { atomic.AddInt32(&runs, 1) })
+	var tk Task[struct{}]
+	s.Wait(&tk) // never submitted: idle
+	s.Go(&tk, struct{}{})
+	s.Wait(&tk)
+	s.Wait(&tk)
+	s.Wait(&tk)
 	if got := atomic.LoadInt32(&runs); got != 1 {
 		t.Fatalf("task ran %d times across repeated Waits, want 1", got)
 	}
@@ -330,22 +146,23 @@ func TestTaskStreamWaitIdempotent(t *testing.T) {
 func TestTaskStreamCrossEpochStaleTasks(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		withGOMAXPROCS(procs, func() {
-			s := NewTaskStream(4)
 			type item struct {
-				tk    *Task
+				tk    Task[*item]
 				epoch int
+				v     int
 				val   int
 			}
+			s := NewTaskStream(4, func(it *item) { it.val = it.v })
 			var stale []*item
 			sum := 0
 			for epoch := 0; epoch < 6; epoch++ {
 				// Two fresh tasks per epoch; consume one now, strand one.
 				for j := 0; j < 2; j++ {
-					it := &item{epoch: epoch}
 					v := epoch*10 + j
-					it.tk = s.Go(func() { it.val = v })
+					it := &item{epoch: epoch, v: v}
+					s.Go(&it.tk, it)
 					if j == 0 {
-						s.Wait(it.tk)
+						s.Wait(&it.tk)
 						if it.val != v {
 							t.Fatalf("procs %d: fresh task value %d, want %d", procs, it.val, v)
 						}
@@ -358,7 +175,7 @@ func TestTaskStreamCrossEpochStaleTasks(t *testing.T) {
 				keep := stale[:0]
 				for _, it := range stale {
 					if epoch-it.epoch >= 2 {
-						s.Wait(it.tk)
+						s.Wait(&it.tk)
 						sum += it.val
 					} else {
 						keep = append(keep, it)
@@ -367,7 +184,7 @@ func TestTaskStreamCrossEpochStaleTasks(t *testing.T) {
 				stale = keep
 			}
 			for _, it := range stale {
-				s.Wait(it.tk)
+				s.Wait(&it.tk)
 				sum += it.val
 			}
 			want := 0
@@ -381,40 +198,137 @@ func TestTaskStreamCrossEpochStaleTasks(t *testing.T) {
 	}
 }
 
-// TestStreamErrAbortWhileStale aborts a wide-window stream at an early
-// index while many later items are already produced ("stale": claimed
-// and completed but never to be consumed). The abort must drain cleanly,
-// consume nothing past the failure, and leave every produced item's
-// state fully written — the contract the round loop's buffer-reclaim
-// pass after a lost quorum depends on.
-func TestStreamErrAbortWhileStale(t *testing.T) {
-	errBoom := errors.New("boom")
+// TestTaskStreamWaitRunsQueuedWork pins that Wait does not idle while a
+// worker runs its target: with the only background worker busy on a
+// task that cannot finish until a second, still-queued task has run,
+// Wait must run that queued task itself.
+func TestTaskStreamWaitRunsQueuedWork(t *testing.T) {
+	withGOMAXPROCS(4, func() {
+		started := make(chan struct{})
+		unblock := make(chan struct{})
+		s := NewTaskStream(1, func(i int) {
+			if i == 1 {
+				close(unblock)
+				return
+			}
+			close(started)
+			select {
+			case <-unblock:
+			case <-time.After(10 * time.Second):
+				t.Error("Wait idled while a task it could run stayed queued")
+			}
+		})
+		var a, b Task[int]
+		for {
+			s.Go(&a, 0)
+			s.mu.Lock()
+			spawned := s.workers == 1
+			s.mu.Unlock()
+			if spawned {
+				break
+			}
+			// Another test's worker still held the token: withdraw a
+			// and retry once the budget frees up.
+			s.Cancel(&a)
+			time.Sleep(time.Millisecond)
+		}
+		<-started // the worker holds a
+		s.Go(&b, 1)
+		s.Wait(&a)
+		s.Wait(&b)
+	})
+}
+
+// TestTaskStreamCancel pins the abort path: Cancel withdraws queued
+// tasks, which then never run, and waits out a running one, whose
+// writes are complete when Cancel returns.
+func TestTaskStreamCancel(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		withGOMAXPROCS(procs, func() {
-			const n, window, failAt = 200, 64, 3
-			state := make([]int32, n) // 0 untouched, 1 half-written, 2 complete
-			var consumed int32
-			err := StreamErr(n, window, func(i int) {
+			const n = 64
+			var state [n]int32 // 0 untouched, 1 half-written, 2 complete
+			s := NewTaskStream(4, func(i int) {
 				atomic.StoreInt32(&state[i], 1)
+				time.Sleep(time.Microsecond)
 				atomic.StoreInt32(&state[i], 2)
-			}, func(i int) error {
-				atomic.AddInt32(&consumed, 1)
-				if i == failAt {
-					return errBoom
-				}
-				return nil
 			})
-			if err != errBoom {
-				t.Fatalf("procs %d: err = %v, want errBoom", procs, err)
+			tasks := make([]Task[int], n)
+			for i := range tasks {
+				s.Go(&tasks[i], i)
 			}
-			if got := atomic.LoadInt32(&consumed); got != failAt+1 {
-				t.Fatalf("procs %d: consumed %d items, want %d", procs, got, failAt+1)
+			s.Wait(&tasks[0])
+			for i := 1; i < n; i++ {
+				s.Cancel(&tasks[i])
 			}
-			// Every item a worker started (the stale window beyond the
-			// failure) must have run to completion: no half-written state.
 			for i := range state {
-				if s := atomic.LoadInt32(&state[i]); s == 1 {
-					t.Fatalf("procs %d: produce(%d) left half-written state after abort", procs, i)
+				if st := atomic.LoadInt32(&state[i]); st == 1 {
+					t.Fatalf("procs %d: task %d half-written after Cancel", procs, i)
+				}
+			}
+			// Everything is idle: a late run of a withdrawn task would
+			// show up here.
+			time.Sleep(10 * time.Millisecond)
+			ran := 0
+			for i := range state {
+				if st := atomic.LoadInt32(&state[i]); st == 2 {
+					ran++
+				} else if st != 0 {
+					t.Fatalf("procs %d: task %d ran after Cancel", procs, i)
+				}
+			}
+			if procs == 1 && ran != 1 {
+				t.Fatalf("procs 1: %d tasks ran, want only the waited one", ran)
+			}
+			if len(s.queue) != 0 {
+				t.Fatalf("procs %d: %d tasks still queued after Cancel", procs, len(s.queue))
+			}
+		})
+	}
+}
+
+// TestTaskStreamSlidingWindow drives the synchronous round loop's
+// pattern — a fixed window of caller-owned tasks resubmitted ahead of an
+// in-order frontier — and pins that it runs every task once in
+// frontier order, allocates nothing once warm on the serial path, and
+// keeps the queue's backing array bounded by the window.
+func TestTaskStreamSlidingWindow(t *testing.T) {
+	const window, n = 4, 5000
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(procs, func() {
+			ran := make([]int32, n)
+			s := NewTaskStream(window, func(i int) { atomic.AddInt32(&ran[i], 1) })
+			var slots [window]Task[int]
+			pass := func() {
+				for i := 0; i < window; i++ {
+					s.Go(&slots[i], i)
+				}
+				for i := 0; i < n; i++ {
+					s.Wait(&slots[i%window])
+					if got := atomic.LoadInt32(&ran[i]); got < 1 {
+						t.Fatalf("procs %d: task %d not run at its Wait", procs, i)
+					}
+					if next := i + window; next < n {
+						s.Go(&slots[i%window], next)
+					}
+				}
+			}
+			pass()
+			for i := range ran {
+				if ran[i] != 1 {
+					t.Fatalf("procs %d: task %d ran %d times", procs, i, ran[i])
+				}
+			}
+			if c := cap(s.queue); c > 2*window {
+				t.Fatalf("procs %d: queue capacity %d for a window of %d", procs, c, window)
+			}
+			if procs == 1 {
+				if allocs := testing.AllocsPerRun(3, func() {
+					for i := range ran {
+						ran[i] = 0
+					}
+					pass()
+				}); allocs != 0 {
+					t.Fatalf("sliding window allocates %.1f times per pass, want 0", allocs)
 				}
 			}
 		})
