@@ -47,7 +47,7 @@ var suites = []struct {
 	{"./internal/tensor/", "BenchmarkMatMul|BenchmarkBatchedMatMul"},
 	{"./internal/nn/", "BenchmarkConvForward|BenchmarkConvBackward|BenchmarkAttentionForward|BenchmarkAttentionBackward"},
 	{"./internal/model/", "BenchmarkClone"},
-	{"./internal/fl/", "BenchmarkLocalTrainStep|BenchmarkEvaluateAll|BenchmarkRoundLoop|BenchmarkAsyncRoundLoop|BenchmarkCheckpointSnapshot|BenchmarkCheckpointEncode"},
+	{"./internal/fl/", "BenchmarkLocalTrainStep|BenchmarkEvaluateAll|BenchmarkRoundLoop|BenchmarkClientSetup|BenchmarkAsyncRoundLoop|BenchmarkCheckpointSnapshot|BenchmarkCheckpointEncode"},
 	// Serving: sustained predictions/sec through the pooled
 	// InferenceServer vs the per-call Predict baseline. The guard also
 	// pins the >= 2x throughput ratio between the pair.

@@ -8,6 +8,7 @@ import (
 	"fedtrans/internal/data"
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -144,7 +145,6 @@ func (d *Deployed) Info() ModelInfo {
 // panel is fine-tuned and the returned slice has one entry per panel
 // client, in panel (ascending client ID) order.
 func (s *Session) Personalized(steps int) []float64 {
-	rng := randFor(s.opts.Seed + 12345)
 	suite := s.runtime.Suite()
 	var cur data.ClientCursor
 	personalize := func(c int) float64 {
@@ -153,7 +153,8 @@ func (s *Session) Personalized(steps int) []float64 {
 		if m == nil {
 			return 0
 		}
-		_, acc := fl.Personalize(m, s.dataset.Fetch(&cur, c), steps, s.opts.LearningRate, rng)
+		key := rng.Key(s.opts.Seed, rng.Personalize, 0, c, 0)
+		_, acc := fl.Personalize(m, s.dataset.Fetch(&cur, c), steps, s.opts.LearningRate, key)
 		return acc
 	}
 	if panel := s.runtime.EvalClients(); panel != nil {

@@ -28,6 +28,7 @@ import (
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/netcoord"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/selection"
 )
 
@@ -456,7 +457,7 @@ func NewSession(opts Options) (*Session, error) {
 		}
 		spec.Heads = opts.AttentionHeads
 	}
-	base := spec.Build(randFor(opts.Seed)).MACsPerSample()
+	base := spec.Build(rng.New(0)).MACsPerSample()
 	tcfg := device.TraceConfig{
 		N:               opts.Clients,
 		MinCapacityMACs: base,

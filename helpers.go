@@ -1,8 +1,6 @@
 package fedtrans
 
 import (
-	"math/rand"
-
 	"fedtrans/internal/data"
 	"fedtrans/internal/model"
 )
@@ -25,5 +23,3 @@ func initialSpec(profile string, ds *data.Dataset) model.Spec {
 		return model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes)
 	}
 }
-
-func randFor(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -11,6 +11,7 @@ import (
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -37,7 +38,7 @@ type FLuID struct {
 
 // NewFLuID builds the global model from the given (largest) spec.
 func NewFLuID(cfg Config, ds *data.Dataset, trace *device.Trace, largest model.Spec) *FLuID {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(rng.Key(cfg.Seed, rng.Run, 0, 0, 0))
 	f := &FLuID{cfg: cfg, ds: ds, trace: trace, global: largest.BuildScoped(rng, model.NewIDGen()), rng: rng}
 	f.updateMag = make([][]float64, len(f.global.Cells))
 	for i := range f.global.Cells {
@@ -47,9 +48,6 @@ func NewFLuID(cfg Config, ds *data.Dataset, trace *device.Trace, largest model.S
 	}
 	return f
 }
-
-// Global exposes the global model.
-func (f *FLuID) Global() *model.Model { return f.global }
 
 // keepFractionFor converts capacity into the fraction of hidden units a
 // straggler keeps (1 when the full model fits).
@@ -249,7 +247,7 @@ func (f *FLuID) Run() fl.Result {
 		for _, c := range selected {
 			frac := f.keepFractionFor(f.trace.Devices[c].CapacityMACs)
 			if frac >= 1 {
-				lr := fl.TrainLocal(f.global, &f.ds.Clients[c], cfg.Local, f.rng)
+				lr := fl.TrainLocal(f.global, &f.ds.Clients[c], cfg.Local, rng.Key(cfg.Seed, rng.Train, round, c, 0))
 				fullUpdates = append(fullUpdates, fullUpd{weights: lr.Weights, samples: lr.Samples})
 				res.Costs.AddTraining(f.global.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)
 				res.Costs.AddTransfer(f.global.Bytes())
@@ -260,7 +258,7 @@ func (f *FLuID) Run() fl.Result {
 			}
 			sets := f.keepSets(frac)
 			sub := f.subModel(sets)
-			lr := fl.TrainLocal(sub, &f.ds.Clients[c], cfg.Local, f.rng)
+			lr := fl.TrainLocal(sub, &f.ds.Clients[c], cfg.Local, rng.Key(cfg.Seed, rng.Train, round, c, 0))
 			sub.SetWeights(lr.Weights)
 			f.mergeBack(sub, sets)
 			res.Costs.AddTraining(sub.MACsPerSample(), cfg.Local.Steps, cfg.Local.BatchSize)

@@ -17,6 +17,7 @@ import (
 	"fedtrans/internal/fl"
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -60,7 +61,7 @@ func NewHeteroFL(cfg Config, ds *data.Dataset, trace *device.Trace, largest mode
 	if numLevels < 1 {
 		numLevels = 4
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(rng.Key(cfg.Seed, rng.Run, 0, 0, 0))
 	h := &HeteroFL{cfg: cfg, ds: ds, trace: trace, rng: rng}
 	ids := model.NewIDGen()
 	ratio := 1.0
@@ -155,8 +156,7 @@ func (h *HeteroFL) Run() fl.Result {
 			go func(i, c int) {
 				defer wg.Done()
 				l := h.levelFor(h.trace.Devices[c].CapacityMACs)
-				crng := rand.New(rand.NewSource(cfg.Seed + int64(round)*1_000_003 + int64(c)*7919))
-				lr := fl.TrainLocal(h.levels[l], &h.ds.Clients[c], cfg.Local, crng)
+				lr := fl.TrainLocal(h.levels[l], &h.ds.Clients[c], cfg.Local, rng.Key(cfg.Seed, rng.Train, round, c, 0))
 				updates[i] = levelUpdate{level: l, weights: lr.Weights}
 			}(i, c)
 		}

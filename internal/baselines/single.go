@@ -1,14 +1,13 @@
 package baselines
 
 import (
-	"math/rand"
-
 	"fedtrans/internal/aggregate"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/transform"
 )
 
@@ -65,7 +64,7 @@ func RunFedYogi(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Sp
 // client data — the hypothetical cloud-ML upper bound of Figure 2 — and
 // returns the mean per-client test accuracy plus total training MACs.
 func RunCentralized(cfg Config, ds *data.Dataset, spec model.Spec, epochs int) (meanAcc float64, macs float64) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(rng.Key(cfg.Seed, rng.Run, 0, 0, 0))
 	m := spec.BuildScoped(rng, model.NewIDGen())
 	x, y := ds.Centralized(cfg.Seed)
 	n := x.Shape[0]

@@ -10,6 +10,7 @@ import (
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -33,7 +34,7 @@ func NewSplitMix(cfg Config, ds *data.Dataset, trace *device.Trace, largest mode
 	if numBase < 2 {
 		numBase = 4
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(rng.Key(cfg.Seed, rng.Run, 0, 0, 0))
 	s := &SplitMix{cfg: cfg, ds: ds, trace: trace, rng: rng}
 	atom := largest.Scaled(1 / float64(numBase))
 	ids := model.NewIDGen()
@@ -83,7 +84,7 @@ func (s *SplitMix) Run() fl.Result {
 				bi := s.next % len(s.bases)
 				s.next++
 				b := s.bases[bi]
-				lr := fl.TrainLocal(b, &s.ds.Clients[c], cfg.Local, s.rng)
+				lr := fl.TrainLocal(b, &s.ds.Clients[c], cfg.Local, rng.Key(cfg.Seed, rng.Train, round, c, k))
 				updates[bi] = append(updates[bi], aggregate.Update{
 					ModelID: b.ID, Weights: lr.Weights, Samples: lr.Samples, Loss: lr.Loss,
 				})

@@ -3,13 +3,15 @@
 // non-finite gradient payloads, and straggler delays.
 //
 // Every fault decision is a pure function of (seed, round, client,
-// attempt) — a splitmix64 hash, not a shared RNG stream — so injection
+// attempt) — an internal/rng key, not a shared RNG stream — so injection
 // is independent of goroutine scheduling and of how many other clients
 // draw faults. Two runs with the same chaos seed inject exactly the
 // same faults, which is what lets the chaos test suite assert
 // byte-identical results and lets checkpoint/resume replay a failure
 // profile without storing any injector state.
 package chaos
+
+import "fedtrans/internal/rng"
 
 // Fault is the failure mode injected into one training attempt.
 type Fault uint8
@@ -93,7 +95,7 @@ func (in *Injector) Fault(round, client, attempt int) Fault {
 	if in == nil {
 		return None
 	}
-	u := unit(in.cfg.Seed, round, client, attempt, 0)
+	u := unit(in.cfg.Seed, round, client, attempt, rng.ChaosFault)
 	p := in.cfg.CrashRate
 	if u < p {
 		return Crash
@@ -116,28 +118,14 @@ func (in *Injector) Delay(round, client, attempt int) float64 {
 	if in == nil || in.cfg.StragglerRate <= 0 {
 		return 0
 	}
-	if unit(in.cfg.Seed, round, client, attempt, 1) < in.cfg.StragglerRate {
+	if unit(in.cfg.Seed, round, client, attempt, rng.ChaosDelay) < in.cfg.StragglerRate {
 		return in.cfg.StragglerDelay
 	}
 	return 0
 }
 
 // unit hashes the draw coordinates to a uniform float64 in [0, 1).
-func unit(seed int64, round, client, attempt, salt int) float64 {
-	x := uint64(seed)
-	x = splitmix(x + uint64(round)*0x9e3779b97f4a7c15)
-	x = splitmix(x + uint64(client)*0xbf58476d1ce4e5b9)
-	x = splitmix(x + uint64(attempt)*0x94d049bb133111eb)
-	x = splitmix(x + uint64(salt))
+func unit(seed int64, round, client, attempt int, stream rng.Stream) float64 {
 	// 53 high bits → [0, 1), the same mantissa width as rand.Float64.
-	return float64(x>>11) / (1 << 53)
-}
-
-// splitmix is the splitmix64 finalizer (Steele et al.), a full-period
-// bijective mixer with good avalanche behavior.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return float64(rng.Key(seed, stream, round, client, attempt)>>11) / (1 << 53)
 }

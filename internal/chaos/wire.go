@@ -1,5 +1,7 @@
 package chaos
 
+import "fedtrans/internal/rng"
+
 // Wire faults extend the injection harness across the process boundary:
 // a networked agent (internal/netcoord) mangles its upload frame — cut
 // short, corrupted, or never written — so the coordinator's frame
@@ -80,13 +82,12 @@ func NewWire(cfg WireConfig) *WireInjector {
 }
 
 // Fault returns the wire failure of one upload, keyed by the attempt's
-// local-training seed.
+// local-training seed (itself an internal/rng key).
 func (in *WireInjector) Fault(key int64) WireFault {
 	if in == nil {
 		return WireNone
 	}
-	x := splitmix(uint64(in.cfg.Seed) + splitmix(uint64(key)))
-	u := float64(x>>11) / (1 << 53)
+	u := unit(in.cfg.Seed, 0, int(key), 0, rng.ChaosWire)
 	p := in.cfg.TruncateRate
 	if u < p {
 		return WireTruncate

@@ -18,6 +18,7 @@ import (
 	"fedtrans/internal/fl"
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -98,7 +99,7 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, spec model.Spec) *Ru
 		cfg.Local = fl.DefaultLocalConfig()
 	}
 	return &Runtime{cfg: cfg, ds: ds, trace: trace, spec: spec,
-		rng: rand.New(rand.NewSource(cfg.Seed))}
+		rng: rng.New(rng.Key(cfg.Seed, rng.Run, 0, 0, 0))}
 }
 
 // Signatures collects one normalized, randomly projected update signature
@@ -111,7 +112,7 @@ func (rt *Runtime) Signatures(probe *model.Model) [][]float64 {
 		total += t.Len()
 	}
 	// Fixed random projection: total -> SignatureDim.
-	prng := rand.New(rand.NewSource(cfg.Seed + 999))
+	prng := rng.New(rng.Key(cfg.Seed, rng.Signature, 0, 0, 0))
 	proj := make([][]float64, cfg.SignatureDim)
 	for i := range proj {
 		row := make([]float64, total)
@@ -124,8 +125,7 @@ func (rt *Runtime) Signatures(probe *model.Model) [][]float64 {
 	for c := range rt.ds.Clients {
 		acc := make([]float64, cfg.SignatureDim)
 		for r := 0; r < cfg.ProbeRounds; r++ {
-			crng := rand.New(rand.NewSource(cfg.Seed + int64(c)*100_003 + int64(r)))
-			lr := fl.TrainLocal(probe, &rt.ds.Clients[c], cfg.Local, crng)
+			lr := fl.TrainLocal(probe, &rt.ds.Clients[c], cfg.Local, rng.Key(cfg.Seed, rng.Probe, r, c, 0))
 			// Delta flattened then projected.
 			off := 0
 			for ti, t := range lr.Weights {
@@ -241,7 +241,7 @@ func cosDist(a, b []float64) float64 {
 func (rt *Runtime) Run() Result {
 	cfg := rt.cfg
 	res := Result{}
-	srng := rand.New(rand.NewSource(cfg.Seed))
+	srng := rng.New(rng.Key(cfg.Seed, rng.Run, 0, 0, 0))
 	probe := rt.spec.BuildScoped(srng, model.NewIDGen())
 
 	// Probe phase: a few FedAvg rounds to give signatures signal.
@@ -313,8 +313,7 @@ func (rt *Runtime) trainAndAverage(m *model.Model, selected []int, round int, re
 	}
 	wsum := 0.0
 	for _, c := range selected {
-		crng := rand.New(rand.NewSource(cfg.Seed + int64(round)*1_000_003 + int64(c)*7919))
-		lr := fl.TrainLocal(m, &rt.ds.Clients[c], cfg.Local, crng)
+		lr := fl.TrainLocal(m, &rt.ds.Clients[c], cfg.Local, rng.Key(cfg.Seed, rng.Train, round, c, 0))
 		w := float64(lr.Samples)
 		if w <= 0 {
 			w = 1

@@ -19,8 +19,9 @@
 // Populations come in two representations sharing one synthesis routine:
 // Generate materializes every client up front, while GenerateLazy keeps
 // only the shared prototype bank (O(classes×modes), independent of the
-// population size) and synthesizes clients on demand from
-// (Seed, clientID). The two are bit-identical for the same Config.
+// population size) and synthesizes clients on demand. Client k's shard
+// is drawn from the internal/rng stream keyed by (Seed, rng.Data, k),
+// so the two are bit-identical for the same Config.
 package data
 
 import (
@@ -28,6 +29,7 @@ import (
 	"math"
 	"math/rand"
 
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -157,7 +159,7 @@ type Generator struct {
 // so steady-state fetching allocates nothing. One cursor per goroutine.
 type ClientCursor struct {
 	Client                    Client
-	rng                       *rand.Rand
+	rng                       *rng.Rand
 	scales, biases, labelDist []float64
 }
 
@@ -188,7 +190,7 @@ func NewGenerator(cfg Config) *Generator {
 		cfg.NoiseStd = 0.45
 	}
 	g := geometry(cfg.Profile, cfg.Classes)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(rng.Key(cfg.Seed, rng.Protos, 0, 0, 0))
 
 	// Global mode bank: prototypes for every (class, mode) pair, shared
 	// across clients so federated averaging is meaningful.
@@ -246,10 +248,10 @@ func NewGenerator(cfg Config) *Generator {
 // Generate builds for the same Config: both paths run this routine.
 func (g *Generator) Synth(cur *ClientCursor, k int) *Client {
 	if cur.rng == nil {
-		cur.rng = rand.New(rand.NewSource(0))
+		cur.rng = rng.NewRand(0)
 	}
-	crng := cur.rng
-	crng.Seed(g.cfg.Seed + int64(k)*7919 + 1)
+	cur.rng.Rekey(rng.Key(g.cfg.Seed, rng.Data, 0, k, 0))
+	crng := cur.rng.Rand
 	complexity := crng.Intn(g.cfg.MaxComplexity + 1)
 	cur.scales, cur.biases = clientTransformInto(cur.scales, cur.biases, g.geom.featureDim, crng)
 	cur.labelDist = dirichletInto(cur.labelDist, g.geom.classes, g.cfg.Heterogeneity, crng)
@@ -271,10 +273,6 @@ func (g *Generator) Synth(cur *ClientCursor, k int) *Client {
 	cl.Complexity = complexity
 	return cl
 }
-
-// Clients is the normalized population size of the Config the generator
-// was built from.
-func (g *Generator) Clients() int { return g.cfg.Clients }
 
 // Generate builds a synthetic federated dataset with every client
 // materialized.
@@ -320,12 +318,6 @@ type sampleParams struct {
 	scales, biases []float64
 	noise          float64
 	imageShaped    bool
-}
-
-func sampleSet(n int, sp sampleParams, rng *rand.Rand) (*tensor.Tensor, []int) {
-	x := &tensor.Tensor{}
-	y := sampleSetInto(x, nil, n, sp, rng)
-	return x, y
 }
 
 // sampleSetInto fills x/y with n synthesized samples, reusing their
@@ -376,10 +368,6 @@ func sampleSetInto(x *tensor.Tensor, y []int, n int, sp sampleParams, rng *rand.
 	return y
 }
 
-func clientTransform(d int, rng *rand.Rand) (scales, biases []float64) {
-	return clientTransformInto(nil, nil, d, rng)
-}
-
 func clientTransformInto(scales, biases []float64, d int, rng *rand.Rand) ([]float64, []float64) {
 	scales = resize(scales, d)
 	biases = resize(biases, d)
@@ -390,12 +378,8 @@ func clientTransformInto(scales, biases []float64, d int, rng *rand.Rand) ([]flo
 	return scales, biases
 }
 
-// dirichlet samples a categorical distribution from Dirichlet(h,...,h)
-// using Gamma(h) marginals (Marsaglia-Tsang).
-func dirichlet(k int, h float64, rng *rand.Rand) []float64 {
-	return dirichletInto(nil, k, h, rng)
-}
-
+// dirichletInto samples a categorical distribution from
+// Dirichlet(h,...,h) into out using Gamma(h) marginals (Marsaglia-Tsang).
 func dirichletInto(out []float64, k int, h float64, rng *rand.Rand) []float64 {
 	out = resize(out, k)
 	sum := 0.0
@@ -476,13 +460,6 @@ func logUniformInt(lo, hi int, rng *rand.Rand) int {
 	return n
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Centralized pools every client's training data into one shuffled set —
 // the hypothetical cloud-ML upper bound of Figure 2. Generative datasets
 // are synthesized client by client through a cursor.
@@ -504,7 +481,7 @@ func (d *Dataset) Centralized(seed int64) (*tensor.Tensor, []int) {
 			i++
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(rng.Key(seed, rng.Shuffle, 0, 0, 0))
 	for i := total - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		y[i], y[j] = y[j], y[i]
@@ -544,6 +521,3 @@ func BatchInto(bx *tensor.Tensor, by []int, x *tensor.Tensor, y []int, idx []int
 		by[i] = y[s]
 	}
 }
-
-// newRand returns a seeded *rand.Rand; shared by tests.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

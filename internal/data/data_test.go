@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -114,9 +115,9 @@ func TestDirichletHeterogeneityControlsSkew(t *testing.T) {
 
 func TestDirichletSumsToOne(t *testing.T) {
 	f := func(seed int64) bool {
-		r := newRand(seed)
+		r := rng.New(uint64(seed))
 		for _, h := range []float64{0.1, 1, 10} {
-			p := dirichlet(7, h, r)
+			p := dirichletInto(nil, 7, h, r)
 			sum := 0.0
 			for _, v := range p {
 				if v < 0 {
@@ -136,7 +137,7 @@ func TestDirichletSumsToOne(t *testing.T) {
 }
 
 func TestGammaSamplePositive(t *testing.T) {
-	r := newRand(5)
+	r := rng.New(5)
 	for i := 0; i < 200; i++ {
 		for _, a := range []float64{0.1, 0.5, 1, 3} {
 			if g := gammaSample(a, r); g <= 0 || math.IsNaN(g) {

@@ -5,17 +5,19 @@
 // between the most and least capable devices; the synthetic trace
 // reproduces that spread with a log-normal distribution.
 //
-// Every device is a pure function of (Seed, index): NewTrace materializes
-// the whole trace up front, NewTraceLazy keeps only the config and
-// synthesizes devices on demand through At — bit-identical to the
-// materialized entries — so trace setup cost is independent of N.
+// Every device is drawn from its own internal/rng stream, keyed by
+// (Seed, rng.Device, index): NewTrace materializes the whole trace up
+// front, NewTraceLazy keeps only the config and synthesizes devices on
+// demand through At — bit-identical to the materialized entries — so
+// trace setup cost is independent of N.
 package device
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
+
+	"fedtrans/internal/rng"
 )
 
 // Device describes one simulated client device.
@@ -56,7 +58,7 @@ type Trace struct {
 	// traces.
 	cfg TraceConfig
 	// lazy marks generative traces: Devices stays nil and At synthesizes
-	// each device from (cfg.Seed, index) on demand.
+	// each device from its keyed stream on demand.
 	lazy    bool
 	rngPool sync.Pool
 }
@@ -74,17 +76,12 @@ func normalize(cfg TraceConfig) TraceConfig {
 	return cfg
 }
 
-// deviceSeed derives device i's private RNG seed. Each device owns an
-// independent stream — a sequential shared stream could not be entered
-// mid-way because NormFloat64's ziggurat consumes a variable number of
-// draws per sample.
-func deviceSeed(seed int64, i int) int64 {
-	return seed + int64(i)*15485863 + 1
-}
-
-// synthDevice samples device i. rng is reseeded, so any instance works.
-func synthDevice(cfg *TraceConfig, rng *rand.Rand, i int) Device {
-	rng.Seed(deviceSeed(cfg.Seed, i))
+// synthDevice samples device i from its own stream (a shared stream
+// could not be entered mid-way: NormFloat64's ziggurat consumes a
+// variable number of draws). r is rekeyed, so any instance works.
+func synthDevice(cfg *TraceConfig, r *rng.Rand, i int) Device {
+	r.Rekey(rng.Key(cfg.Seed, rng.Device, 0, i, 0))
+	rng := r.Rand
 	logMin := math.Log(cfg.MinCapacityMACs)
 	logMax := math.Log(cfg.MaxCapacityMACs)
 	// Capacity: log-uniform base with log-normal jitter, clamped to
@@ -115,9 +112,9 @@ func synthDevice(cfg *TraceConfig, rng *rand.Rand, i int) Device {
 func NewTrace(cfg TraceConfig) *Trace {
 	cfg = normalize(cfg)
 	tr := &Trace{Devices: make([]Device, cfg.N), cfg: cfg}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	r := rng.NewRand(0)
 	for i := range tr.Devices {
-		tr.Devices[i] = synthDevice(&cfg, rng, i)
+		tr.Devices[i] = synthDevice(&cfg, r, i)
 	}
 	return tr
 }
@@ -143,12 +140,12 @@ func (t *Trace) At(i int) Device {
 	if !t.lazy {
 		return t.Devices[i]
 	}
-	rng, _ := t.rngPool.Get().(*rand.Rand)
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0))
+	r, _ := t.rngPool.Get().(*rng.Rand)
+	if r == nil {
+		r = rng.NewRand(0)
 	}
-	d := synthDevice(&t.cfg, rng, i)
-	t.rngPool.Put(rng)
+	d := synthDevice(&t.cfg, r, i)
+	t.rngPool.Put(r)
 	return d
 }
 

@@ -7,13 +7,13 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fedtrans/internal/baselines"
 	"fedtrans/internal/data"
 	"fedtrans/internal/device"
 	"fedtrans/internal/fl"
 	"fedtrans/internal/model"
+	"fedtrans/internal/rng"
 )
 
 // Scale bundles the knobs that trade fidelity for wall-clock time.
@@ -106,7 +106,7 @@ func profileName(p string) string {
 // specMACs instantiates a throwaway model to measure the spec's per-sample
 // MACs without consuming any experiment RNG state.
 func specMACs(s model.Spec) float64 {
-	m := s.Build(rand.New(rand.NewSource(0)))
+	m := s.Build(rng.New(0))
 	return m.MACsPerSample()
 }
 

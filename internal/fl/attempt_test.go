@@ -85,7 +85,7 @@ func (f *flakyTrainer) Train(m *model.Model, spec TrainSpec, cfg LocalConfig, up
 		return 0, 0, errTransport
 	}
 	s := newLocalSession(m)
-	loss, n := s.run(m, f.ds.Fetch(&s.cur, spec.Client), cfg, spec.Seed, upload)
+	loss, n := s.run(m, f.ds.Fetch(&s.cur, spec.Client), cfg, uint64(spec.Seed), upload)
 	return loss, n, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
+	"fedtrans/internal/rng"
 )
 
 func benchRuntime(profile string) *Runtime {
@@ -92,6 +93,34 @@ func BenchmarkRoundLoop(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rt.runRound(i+1, &res)
+		}
+	})
+}
+
+// BenchmarkClientSetup measures the per-client cost a generative round
+// pays before training starts: synthesizing the client's shard
+// (Dataset.Fetch), its device (Trace.At) and rekeying the session RNG.
+// No other rung measures it, so RoundLoop time it takes went
+// unexplained.
+func BenchmarkClientSetup(b *testing.B) {
+	b.Run("gen", func(b *testing.B) {
+		const n = 100_000
+		ds := data.GenerateLazy(data.Config{
+			Profile: "scale", Clients: n, Heterogeneity: 1,
+			MinSamples: 8, MaxSamples: 16, TestSamples: 8, Seed: 1,
+		})
+		spec := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes)
+		tr := device.NewTraceLazy(device.TraceConfig{N: n, MinCapacityMACs: 1e3, Seed: 101})
+		sess := newLocalSession(spec.Build(rng.New(0)))
+		sess.rng.Rekey(0)
+		ds.Fetch(&sess.cur, 0) // warm the cursor's buffers
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % n
+			ds.Fetch(&sess.cur, k)
+			tr.At(k)
+			sess.rng.Rekey(rng.Key(1, rng.Train, 0, k, 0))
 		}
 	})
 }

@@ -19,8 +19,8 @@ import (
 // It captures everything a round can read — the suite weights plus the
 // lineage metadata the wire format deliberately drops (checkpointing is
 // not deployment: a resumed suite must keep transforming and computing
-// similarity exactly as before), the ID-scope counters, the exact rng
-// position as a draw count, the Client Manager utilities, the DoC and
+// similarity exactly as before), the ID-scope counters, the run rng's
+// generator state, the Client Manager utilities, the DoC and
 // activeness windows, server-optimizer and selector state, churn
 // membership, any in-flight accumulator shards, the asynchronous-mode
 // scheduler state (virtual clock, staleness tallies, and the in-flight
@@ -28,17 +28,20 @@ import (
 // re-submits them and deterministically retrains), and the accumulated
 // Result.
 //
-// # Wire format (FTCP v2)
+// # Wire format (FTCP v3)
 //
 // The encoding is a canonical big-endian binary layout (companion to
 // the internal/codec weight format, which carries the per-model Blob
 // payloads):
 //
-//	"FTCP" | u32 version=2 | body | u32 CRC-32 (IEEE) of magic..body
+//	"FTCP" | u32 version=3 | body | u32 CRC-32 (IEEE) of magic..body
 //
-// v2 extends v1 with the dataset geometry (client count, feature
-// dimension, class count — validated on restore) and the asynchronous
-// scheduler block; v1 blobs are rejected with ErrCkptVersion.
+// The body opens with the completed round count and the run rng's
+// 16-byte internal/rng state. v3 replaced v2's rng draw count, which
+// restore replayed one draw at a time, with that state; v2 had added
+// the dataset geometry (client count, feature dimension, class count —
+// validated on restore) and the asynchronous scheduler block to v1.
+// Blobs of any other version are rejected with ErrCkptVersion.
 //
 // All integers are fixed-width big-endian; signed values are two's-
 // complement u64; float64s are IEEE bits (NaN payloads survive).
@@ -52,10 +55,10 @@ type Checkpoint struct {
 	// Round is the number of fully completed rounds; resume continues
 	// at this round index.
 	Round int
-	// RNGCount is the number of source draws the run rng has consumed.
-	// Restore fast-forwards a freshly seeded source by this many steps,
-	// landing on the exact generator state of the interrupted run.
-	RNGCount uint64
+	// RNG is the run rng's generator state (rng.Source.MarshalBinary).
+	// Every 16-byte value is a valid state, and Restore installs it in
+	// O(1).
+	RNG [16]byte
 	// BestAcc/Stall are the convergence-rule trackers.
 	BestAcc float64
 	Stall   int
@@ -173,7 +176,7 @@ var ErrGeometryMismatch = errors.New("fl: checkpoint dataset geometry mismatch")
 
 var ckptMagic = [4]byte{'F', 'T', 'C', 'P'}
 
-const ckptVersion = 2
+const ckptVersion = 3
 
 // ckptEnc builds the canonical encoding.
 type ckptEnc struct{ b []byte }
@@ -549,14 +552,14 @@ func decodeResult(d *ckptDec) Result {
 	return r
 }
 
-// EncodeCheckpoint serializes a checkpoint into the canonical FTCP v2
+// EncodeCheckpoint serializes a checkpoint into the canonical FTCP v3
 // byte layout described on Checkpoint.
 func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	e := &ckptEnc{b: make([]byte, 0, 1024)}
 	e.b = append(e.b, ckptMagic[:]...)
 	e.u32(ckptVersion)
 	e.i64(int64(ck.Round))
-	e.u64(ck.RNGCount)
+	e.b = append(e.b, ck.RNG[:]...)
 	e.f64(ck.BestAcc)
 	e.i64(int64(ck.Stall))
 	e.i64(ck.ModelCtr)
@@ -645,7 +648,7 @@ func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	return e.b, nil
 }
 
-// DecodeCheckpoint parses and validates an FTCP v2 checkpoint. The
+// DecodeCheckpoint parses and validates an FTCP v3 checkpoint. The
 // decoder is strict: checksum, bounds, canonical key order, and exact
 // length are all enforced, so any successfully decoded checkpoint
 // re-encodes to identical bytes.
@@ -667,7 +670,9 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 
 	ck := &Checkpoint{}
 	ck.Round = d.int()
-	ck.RNGCount = d.u64()
+	if d.need(len(ck.RNG)) {
+		d.off += copy(ck.RNG[:], d.b[d.off:])
+	}
 	ck.BestAcc = d.f64()
 	ck.Stall = d.int()
 	ck.ModelCtr = d.i64()
@@ -836,7 +841,8 @@ func (rt *Runtime) snapshot(round int) *ckptSnap {
 	s := &ckptSnap{}
 	ck := &s.ck
 	ck.Round = round
-	ck.RNGCount = rt.rngSrc.n
+	state, _ := rt.rngSrc.MarshalBinary() // PCG state marshaling cannot fail
+	copy(ck.RNG[:], state)
 	ck.BestAcc = rt.bestAcc
 	ck.Stall = rt.stall
 	ck.ModelCtr, ck.CellCtr = rt.suite[0].IDScope().Counters()
@@ -1019,16 +1025,7 @@ func (rt *Runtime) restore(ck *Checkpoint) error {
 	}
 	gen.SetCounters(ck.ModelCtr, ck.CellCtr)
 
-	// Fast-forward the rng to the checkpointed draw count. The wrapped
-	// source hides Source64, so each Int63 advances exactly one counted
-	// step along the identical output stream.
-	if rt.rngSrc.n > ck.RNGCount {
-		return fmt.Errorf("fl: rng already at %d draws, checkpoint wants %d (runtime not fresh?)",
-			rt.rngSrc.n, ck.RNGCount)
-	}
-	for rt.rngSrc.n < ck.RNGCount {
-		rt.rng.Int63()
-	}
+	_ = rt.rngSrc.UnmarshalBinary(ck.RNG[:]) // every 16-byte state is valid
 
 	for _, m := range rt.suite {
 		m.Release()

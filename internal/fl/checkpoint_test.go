@@ -2,12 +2,15 @@ package fl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"fedtrans/internal/chaos"
 	"fedtrans/internal/data"
@@ -309,6 +312,47 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+	// Other versions — v2's draw-count layout included — are refused by
+	// version, not misparsed, even with a valid checksum.
+	for _, v := range []uint32{1, 2, ckptVersion + 1} {
+		old := append([]byte(nil), blob...)
+		binary.BigEndian.PutUint32(old[4:], v)
+		if _, err := DecodeCheckpoint(withCRC(old)); !errors.Is(err, ErrCkptVersion) {
+			t.Errorf("version %d blob: err = %v, want ErrCkptVersion", v, err)
+		}
+	}
+}
+
+// withCRC rewrites b's CRC-32 trailer to match its contents.
+func withCRC(b []byte) []byte {
+	binary.BigEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
+}
+
+// TestRestoreCraftedRNGFieldReturns: a checkpoint whose rng field is
+// patched and re-checksummed must restore or fail promptly. The field
+// once held a draw count that Restore replayed one Int63 at a time, so
+// a count of 2^40 hung resume; the rng state is now installed in O(1).
+func TestRestoreCraftedRNGFieldReturns(t *testing.T) {
+	ds, tr, spec := smokeSetup(t, 8)
+	cfg := ckptConfig()
+	cfg.Rounds = 2
+	rt := New(cfg, ds, tr, spec)
+	rt.Run()
+	blob, err := rt.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "FTCP" | version | round (8 bytes) | the rng field.
+	binary.BigEndian.PutUint64(blob[16:], 1<<40)
+	done := make(chan error, 1)
+	go func() { done <- New(cfg, ds, tr, spec).Restore(withCRC(blob)) }()
+	select {
+	case err := <-done:
+		t.Logf("Restore returned %v", err)
+	case <-time.After(time.Second):
+		t.Fatal("Restore of a checkpoint with a crafted rng field did not return within 1 s")
 	}
 }
 

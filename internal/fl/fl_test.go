@@ -6,6 +6,7 @@ import (
 
 	"fedtrans/internal/device"
 	"fedtrans/internal/model"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/selection"
 	"fedtrans/internal/tensor"
 )
@@ -105,7 +106,7 @@ func TestTrainLocalDoesNotMutateServerModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := spec.Build(rng)
 	before := m.CopyWeights()
-	res := TrainLocal(m, &ds.Clients[0], DefaultLocalConfig(), rng)
+	res := TrainLocal(m, &ds.Clients[0], DefaultLocalConfig(), 2)
 	after := m.Params()
 	for i := range after {
 		if !tensor.Equal(before[i], after[i], 0) {
@@ -136,9 +137,9 @@ func TestTrainLocalProxStaysCloser(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := spec.Build(rng)
 	cfg := DefaultLocalConfig()
-	plain := TrainLocal(m, &ds.Clients[0], cfg, rand.New(rand.NewSource(7)))
+	plain := TrainLocal(m, &ds.Clients[0], cfg, 7)
 	cfg.ProxMu = 5
-	prox := TrainLocal(m, &ds.Clients[0], cfg, rand.New(rand.NewSource(7)))
+	prox := TrainLocal(m, &ds.Clients[0], cfg, 7)
 	base := m.CopyWeights()
 	dPlain, dProx := 0.0, 0.0
 	for i := range base {
@@ -437,10 +438,9 @@ func TestPersonalizeImprovesLocalFit(t *testing.T) {
 	rt.Run()
 	global := rt.Suite()[0]
 	improved, total := 0, 0
-	rng := rand.New(rand.NewSource(42))
 	for c := range ds.Clients {
 		base := EvaluateOn(global, &ds.Clients[c])
-		_, acc := Personalize(global, &ds.Clients[c], 30, 0.05, rng)
+		_, acc := Personalize(global, &ds.Clients[c], 30, 0.05, rng.Key(42, rng.Personalize, 0, c, 0))
 		total++
 		if acc >= base {
 			improved++
@@ -458,7 +458,7 @@ func TestPersonalizeDoesNotMutateServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := spec.Build(rng)
 	before := m.CopyWeights()
-	Personalize(m, &ds.Clients[0], 10, 0.1, rng)
+	Personalize(m, &ds.Clients[0], 10, 0.1, 1)
 	for i, p := range m.Params() {
 		if !tensor.Equal(before[i], p, 0) {
 			t.Fatal("Personalize mutated the server model")

@@ -9,7 +9,6 @@ import (
 
 	"fedtrans/internal/data"
 	"fedtrans/internal/model"
-	"fedtrans/internal/nn"
 	"fedtrans/internal/tensor"
 )
 
@@ -40,51 +39,15 @@ type LocalResult struct {
 	Samples int
 }
 
-// TrainLocal lazily clones the given model (weights shared copy-on-write
-// until the first SGD step writes them), runs local SGD on the client's
-// data, and returns the result. The input model is not mutated, and the
-// clone is fully released before returning; the uploaded weights are a
-// COW snapshot of the trained parameters, so no copy is made for the
-// upload either.
-func TrainLocal(m *model.Model, cl *data.Client, cfg LocalConfig, rng *rand.Rand) LocalResult {
-	local := m.Clone()
-	defer local.Release()
-	opt := nn.NewSGD(cfg.LR)
-	if cfg.ProxMu > 0 {
-		opt.ProxMu = cfg.ProxMu
-		for _, p := range local.Params() {
-			opt.SetProxAnchor(p, p.Data)
-		}
-	}
-	n := len(cl.TrainY)
-	if n == 0 {
-		// Nothing to train on: return the downloaded weights with
-		// Samples 0 (zero FedAvg weight) instead of pushing an empty
-		// batch through TrainStep.
-		return LocalResult{Weights: local.CopyWeights(), Loss: 0, Samples: 0}
-	}
-	lossSum := 0.0
-	steps := cfg.Steps
-	if steps < 1 {
-		steps = 1
-	}
-	for s := 0; s < steps; s++ {
-		bs := cfg.BatchSize
-		if bs > n {
-			bs = n
-		}
-		idx := make([]int, bs)
-		for i := range idx {
-			idx[i] = rng.Intn(n)
-		}
-		bx, by := data.Batch(cl.TrainX, cl.TrainY, idx)
-		lossSum += local.TrainStep(bx, by, opt)
-	}
-	return LocalResult{
-		Weights: local.CopyWeights(),
-		Loss:    lossSum / float64(steps),
-		Samples: n,
-	}
+// TrainLocal trains a copy-on-write clone of m on the client's data,
+// drawing batches from the stream at key (an rng.Train key), and
+// returns the clone's trained weights. m is not mutated. It runs the
+// same loop as the round loop's pooled sessions.
+func TrainLocal(m *model.Model, cl *data.Client, cfg LocalConfig, key uint64) LocalResult {
+	s := newLocalSession(m)
+	defer s.m.ReleaseWorkspaces()
+	loss, n := s.train(cl, cfg, key, nil)
+	return LocalResult{Weights: s.m.Params(), Loss: loss, Samples: n}
 }
 
 // EvaluateOn returns the model's accuracy on the client's test split.

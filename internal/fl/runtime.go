@@ -16,6 +16,7 @@ import (
 	"fedtrans/internal/metrics"
 	"fedtrans/internal/model"
 	"fedtrans/internal/par"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/selection"
 	"fedtrans/internal/tensor"
 	"fedtrans/internal/transform"
@@ -282,7 +283,7 @@ type Runtime struct {
 	doc       *transform.DoCTracker
 	act       map[int]*transform.ActivenessTracker
 	rng       *rand.Rand
-	rngSrc    *countingSource
+	rngSrc    *rng.Source
 	serverOpt *yogiOpt
 	chaos     *chaos.Injector
 	churn     *selection.Churn
@@ -387,28 +388,6 @@ type roundTask struct {
 	ok  bool
 }
 
-// countingSource wraps a rand.Source and counts state advances. It
-// deliberately implements only rand.Source (not Source64): rand.Rand's
-// Uint64 fallback over Int63 is formula-identical to the stdlib
-// source's own Uint64, so hiding Source64 changes no output bits while
-// making every consumed draw observable. Checkpoints store the count;
-// resume fast-forwards a fresh source by the same number of steps to
-// land on the exact rng state of the interrupted run.
-type countingSource struct {
-	src rand.Source
-	n   uint64
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.n = 0
-}
-
 // New builds a runtime from an initial model spec. The device trace must
 // have at least as many devices as the dataset has clients.
 func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) *Runtime {
@@ -421,11 +400,12 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 	if cfg.Selector == nil {
 		cfg.Selector = selection.Random{}
 	}
-	src := &countingSource{src: rand.NewSource(cfg.Seed)}
-	rng := rand.New(src)
+	src := &rng.Source{}
+	src.Reseed(rng.Key(cfg.Seed, rng.Run, 0, 0, 0))
+	runRNG := rand.New(src)
 	// A per-run ID scope keeps model/cell IDs deterministic even when
 	// several runtimes execute concurrently (parallel experiment grids).
-	m0 := initial.BuildScoped(rng, model.NewIDGen())
+	m0 := initial.BuildScoped(runRNG, model.NewIDGen())
 	rt := &Runtime{
 		cfg:    cfg,
 		ds:     ds,
@@ -434,7 +414,7 @@ func New(cfg Config, ds *data.Dataset, trace *device.Trace, initial model.Spec) 
 		mgr:    assign.NewManager(ds.Len()),
 		doc:    transform.NewDoCTracker(cfg.Transform.Gamma, cfg.Transform.Delta),
 		act:    map[int]*transform.ActivenessTracker{m0.ID: transform.NewActivenessTracker(cfg.Transform.ActWindow)},
-		rng:    rng,
+		rng:    runRNG,
 		rngSrc: src,
 		chaos:  chaos.New(cfg.Chaos),
 	}
@@ -669,7 +649,7 @@ func (rt *Runtime) runRound(round int, res *Result) (float64, float64, map[int]i
 
 	// Model assignment is sequential (it consumes the round RNG in a
 	// deterministic order); local training runs in parallel with
-	// per-client reseeded RNGs so results are reproducible regardless of
+	// per-attempt keyed RNGs so results are reproducible regardless of
 	// scheduling.
 	tasks := rt.roundTasks[:0]
 	roundDropouts := 0
@@ -897,9 +877,9 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 		u.loss, u.samples = 0, 0
 		return
 	}
-	seed := cfg.Seed + int64(round)*1_000_003 + int64(u.client)*7919 + int64(attempt)*104729
+	key := rng.Key(cfg.Seed, rng.Train, round, u.client, attempt)
 	if cfg.Trainer != nil {
-		spec := TrainSpec{Round: round, Attempt: attempt, Client: u.client, Seed: seed}
+		spec := TrainSpec{Round: round, Attempt: attempt, Client: u.client, Seed: int64(key)}
 		if quantized {
 			if u.q == nil {
 				var ok bool
@@ -920,7 +900,7 @@ func (rt *Runtime) trainTask(round, attempt int, u *roundTask) {
 		if !ok {
 			sess = newLocalSession(src)
 		}
-		u.loss, u.samples = sess.run(src, rt.ds.Fetch(&sess.cur, u.client), cfg.Local, seed, u.up)
+		u.loss, u.samples = sess.run(src, rt.ds.Fetch(&sess.cur, u.client), cfg.Local, key, u.up)
 		rt.sessions.put(src.ID, sess)
 	}
 	if fault == chaos.NonFinite && u.samples > 0 {
@@ -1045,10 +1025,6 @@ func (rt *Runtime) EvaluateAll() (accs, bestMACs []float64) {
 	return accs, bestMACs
 }
 
-// evalPanelSalt offsets the panel-draw seed from every other derived
-// stream (round RNG, chaos, device trace).
-const evalPanelSalt = 424_243
-
 // EvalClients returns the evaluation panel: nil when every client is
 // evaluated (EvalSample unset or ≥ population — the identity fast
 // path), otherwise a fixed sample of EvalSample client indices, drawn
@@ -1061,8 +1037,7 @@ func (rt *Runtime) EvalClients() []int {
 		return nil
 	}
 	if rt.evalPanel == nil {
-		rng := rand.New(rand.NewSource(rt.cfg.Seed + evalPanelSalt))
-		panel := SelectClients(n, rt.cfg.EvalSample, rng)
+		panel := SelectClients(n, rt.cfg.EvalSample, rng.New(rng.Key(rt.cfg.Seed, rng.EvalPanel, 0, 0, 0)))
 		sort.Ints(panel)
 		rt.evalPanel = panel
 	}

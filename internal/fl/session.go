@@ -1,18 +1,18 @@
 package fl
 
 import (
-	"math/rand"
 	"sync"
 
 	"fedtrans/internal/data"
 	"fedtrans/internal/model"
 	"fedtrans/internal/nn"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
 // localSession is a reusable client-training harness bound to one suite
 // model: a fully materialized training clone (owned weight buffers, warm
-// gradient storage and workspaces after the first client), a reseedable
+// gradient storage and workspaces after the first client), a rekeyable
 // RNG, and recycled batch scratch. The streaming round loop draws
 // sessions from a per-model pool so training a thousand clients per
 // round costs a thousand weight memcpys, not a thousand model-sized
@@ -22,7 +22,7 @@ import (
 type localSession struct {
 	m   *model.Model
 	opt *nn.SGD
-	rng *rand.Rand
+	rng *rng.Rand
 	idx []int
 	by  []int
 	bx  *tensor.Tensor
@@ -36,19 +36,24 @@ func newLocalSession(src *model.Model) *localSession {
 	return &localSession{
 		m:   src.Clone(),
 		opt: nn.NewSGD(0),
-		rng: rand.New(rand.NewSource(0)),
+		rng: rng.NewRand(0),
 		bx:  &tensor.Tensor{},
 	}
 }
 
-// run downloads src's current weights into the session clone, reseeds
-// the session RNG (bit-compatible with rand.New(rand.NewSource(seed)),
-// which the buffered loop used per client), trains locally, and copies
-// the trained weights into the caller's upload buffers. It returns the
-// mean training loss and the client's sample count. src is only read.
-func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, seed int64, upload []*tensor.Tensor) (loss float64, samples int) {
+// run downloads src's current weights into the session clone and
+// trains it (see train). src is only read.
+func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, key uint64, upload []*tensor.Tensor) (loss float64, samples int) {
 	s.m.SetWeights(src.Params())
-	s.rng.Seed(seed)
+	return s.train(cl, cfg, key, upload)
+}
+
+// train rekeys the session RNG at key (the attempt's rng.Train key),
+// trains the session model locally, and copies the trained weights into
+// upload (if non-nil). It returns the mean training loss and the
+// client's sample count.
+func (s *localSession) train(cl *data.Client, cfg LocalConfig, key uint64, upload []*tensor.Tensor) (loss float64, samples int) {
+	s.rng.Rekey(key)
 	s.opt.LR = cfg.LR
 	s.opt.ProxMu = cfg.ProxMu
 	if cfg.ProxMu > 0 {
@@ -64,9 +69,7 @@ func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, s
 		// downloaded weights untouched with Samples 0 — zero FedAvg
 		// weight, so the coordinator never folds the update. Without
 		// this guard the batch sampler below panics on Intn(0).
-		for i, p := range s.m.Params() {
-			copy(upload[i].Data, p.Data)
-		}
+		s.upload(upload)
 		return 0, 0
 	}
 	steps := cfg.Steps
@@ -95,10 +98,14 @@ func (s *localSession) run(src *model.Model, cl *data.Client, cfg LocalConfig, s
 		data.BatchInto(s.bx, s.by, cl.TrainX, cl.TrainY, s.idx)
 		lossSum += s.m.TrainStep(s.bx, s.by, s.opt)
 	}
-	for i, p := range s.m.Params() {
-		copy(upload[i].Data, p.Data)
-	}
+	s.upload(upload)
 	return lossSum / float64(steps), n
+}
+
+func (s *localSession) upload(dst []*tensor.Tensor) {
+	for i, u := range dst {
+		copy(u.Data, s.m.Params()[i].Data)
+	}
 }
 
 // freeList recycles per-model objects keyed by model ID: training

@@ -11,8 +11,8 @@ import (
 // remote agent needs — besides the model weights and LocalConfig — to
 // reproduce the in-process training bit-for-bit: local training is a
 // pure function of (weights, architecture, client shard, seed), and
-// Seed is the exact attempt-salted value the in-process session would
-// reseed with.
+// Seed is the attempt's rng.Train key, the exact value the in-process
+// session would rekey with.
 type TrainSpec struct {
 	Round   int
 	Attempt int
@@ -73,7 +73,7 @@ func NewClientTrainer(ds *data.Dataset, m *model.Model) *ClientTrainer {
 func (t *ClientTrainer) Model() *model.Model { return t.m }
 
 // Train runs one local-training pass for the client with the given
-// attempt-salted seed, filling upload with the trained weights.
+// TrainSpec.Seed, filling upload with the trained weights.
 func (t *ClientTrainer) Train(client int, cfg LocalConfig, seed int64, upload []*tensor.Tensor) (loss float64, samples int) {
-	return t.sess.run(t.m, t.ds.Fetch(&t.sess.cur, client), cfg, seed, upload)
+	return t.sess.run(t.m, t.ds.Fetch(&t.sess.cur, client), cfg, uint64(seed), upload)
 }

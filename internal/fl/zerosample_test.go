@@ -97,7 +97,7 @@ func TestZeroSampleClientUnpooled(t *testing.T) {
 	ds.Clients[0].TrainY = nil
 	spec := model.NASBenchLikeSpec(ds.FeatureDim, ds.Classes)
 	m := spec.Build(rand.New(rand.NewSource(0)))
-	res := TrainLocal(m, &ds.Clients[0], DefaultLocalConfig(), rand.New(rand.NewSource(7)))
+	res := TrainLocal(m, &ds.Clients[0], DefaultLocalConfig(), 7)
 	if res.Samples != 0 || res.Loss != 0 {
 		t.Fatalf("TrainLocal on empty shard: Samples=%d Loss=%v, want 0, 0", res.Samples, res.Loss)
 	}

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"fedtrans/internal/codec"
 	"fedtrans/internal/nn"
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -137,7 +137,7 @@ func UnmarshalModelScoped(b []byte, gen *IDGen) (*Model, error) {
 		Classes:    h.Classes,
 		ids:        gen,
 	}
-	rng := rand.New(rand.NewSource(1)) // placeholder init; overwritten below
+	rng := rng.New(0) // placeholder init; overwritten below
 	idx := 0
 	take := func(n int) []*tensor.Tensor {
 		out := weights[idx : idx+n]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -392,7 +393,7 @@ func (c *AttentionCell) WidenSelf(factor float64, rng *rand.Rand) {
 // exact identity. Wq/Wk/Wv/W1 keep small random values so training can
 // break symmetry immediately.
 func (c *AttentionCell) IdentityLike() Cell {
-	rng := rand.New(rand.NewSource(int64(c.Dim())*1_000_003 + int64(c.FF())))
+	rng := rng.New(rng.Key(0, rng.Init, c.Dim(), c.FF(), 0)) // keyed by shape
 	id := NewAttentionCellHeads(c.Dim(), c.FF(), c.tokens, c.Heads(), rng)
 	id.Wo.Zero()
 	id.W2.Zero()

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"fedtrans/internal/rng"
 	"fedtrans/internal/tensor"
 )
 
@@ -167,7 +168,7 @@ func (c *ResidualDenseCell) WidenSelf(factor float64, rng *rand.Rand) {
 // IdentityLike implements IdentityInserter: a block with zero W2/B2 adds
 // nothing to the residual, an exact identity for inputs of any sign.
 func (c *ResidualDenseCell) IdentityLike() Cell {
-	rng := rand.New(rand.NewSource(int64(c.Dim())*999_983 + int64(c.Hidden())))
+	rng := rng.New(rng.Key(0, rng.Init, c.Dim(), c.Hidden(), 0)) // keyed by shape
 	id := NewResidualDenseCell(c.Dim(), c.Hidden(), rng)
 	id.W2.Zero()
 	id.B2.Zero()
